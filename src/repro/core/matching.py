@@ -73,20 +73,21 @@ def stable_match(
     need to handle unmatched containers.
     """
     container_ids = list(preferences.container_ids)
-    server_ids = list(preferences.server_ids)
+    server_index = preferences.server_index
     in_matrix = set(container_ids)
+    zero = Resources.zero()
 
     # Containers outside this matching round (e.g. the fixed side of an
     # alternating sweep) keep occupying their servers: charge their demand
-    # up-front so the matching never oversubscribes around them.
-    fixed_used: dict[int, Resources] = {s: Resources.zero() for s in server_ids}
+    # up-front so the matching never oversubscribes around them.  Only the
+    # servers that host one get an entry.
+    fixed_used: dict[int, Resources] = {}
     for other in cluster.containers():
-        if other.container_id in in_matrix or other.server_id is None:
+        sid = other.server_id
+        if other.container_id in in_matrix or sid is None:
             continue
-        if other.server_id in fixed_used:
-            fixed_used[other.server_id] = (
-                fixed_used[other.server_id] + other.demand
-            )
+        if sid in server_index:
+            fixed_used[sid] = fixed_used.get(sid, zero) + other.demand
 
     # Container-side preference lists and cursors.
     pref_lists: dict[int, list[int]] = {
@@ -101,13 +102,14 @@ def stable_match(
     # ``n + 1`` (always at-or-beyond any rejected-top threshold).
     cidx = preferences.container_index
     rank_of = preferences.server_rank_array
-    rejected_top: dict[int, int] = {s: len(container_ids) + 1 for s in server_ids}
+    unrejected = len(container_ids) + 1
 
-    capacity: dict[int, Resources] = {
-        s: cluster.capacity(s) - fixed_used[s] for s in server_ids
-    }
-    used: dict[int, Resources] = {s: Resources.zero() for s in server_ids}
-    accepted: dict[int, set[int]] = {s: set() for s in server_ids}
+    # Per-server matching state exists only for servers proposed to: most
+    # servers of a large fabric never are.
+    rejected_top: dict[int, int] = {}
+    capacity: dict[int, Resources] = {}
+    used: dict[int, Resources] = {}
+    accepted: dict[int, set[int]] = {}
     matched_to: dict[int, int] = {}
 
     demand = {c: cluster.container(c).demand for c in container_ids}
@@ -122,25 +124,32 @@ def stable_match(
             s = pref_lists[c][cursors[c]]
             cursors[c] += 1
             ranks = rank_of(s)
-            if int(ranks[cidx[c]]) >= rejected_top[s]:
+            if int(ranks[cidx[c]]) >= rejected_top.get(s, unrejected):
                 # Blacklisted (or infeasible): s already rejected a container
                 # it prefers to c.
                 continue
             proposals += 1
+            if s not in capacity:
+                capacity[s] = cluster.capacity(s) - fixed_used.get(s, zero)
+                accepted[s] = set()
             # Tentatively accept, then evict least-preferred until feasible.
-            accepted[s].add(c)
+            hosted = accepted[s]
+            hosted.add(c)
             matched_to[c] = s
-            used[s] = used[s] + demand[c]
-            while not used[s].fits_in(capacity[s]):
-                worst = max(accepted[s], key=lambda x: ranks[cidx[x]])
-                accepted[s].discard(worst)
-                used[s] = used[s] - demand[worst]
+            load = used.get(s, zero) + demand[c]
+            while not load.fits_in(capacity[s]):
+                worst = max(hosted, key=lambda x: ranks[cidx[x]])
+                hosted.discard(worst)
+                load = load - demand[worst]
                 del matched_to[worst]
                 evictions += 1
-                rejected_top[s] = min(rejected_top[s], int(ranks[cidx[worst]]))
+                rejected_top[s] = min(
+                    rejected_top.get(s, unrejected), int(ranks[cidx[worst]])
+                )
                 if worst != c:
                     free.append(worst)
-            if c in accepted[s]:
+            used[s] = load
+            if c in hosted:
                 break
             # c itself was evicted: continue down its list.
     unmatched = [c for c in container_ids if c not in matched_to]
@@ -158,7 +167,7 @@ def stable_match(
         tracer.event(
             "alg2.match",
             containers=len(container_ids),
-            servers=len(server_ids),
+            servers=len(preferences.server_ids),
             proposals=proposals,
             evictions=evictions,
             unmatched=len(unmatched),

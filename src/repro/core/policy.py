@@ -32,7 +32,7 @@ import numpy as np
 from ..mapreduce.shuffle import ShuffleFlow
 from ..obs.runtime import STATE as _OBS
 from ..topology.base import Tier, Topology
-from ..topology.routing import enumerate_paths, stage_adjacency
+from ..topology.routing import enumerate_paths, plan_endpoints, route_plan
 
 __all__ = ["Policy", "CostModel", "PolicyController", "NoFeasiblePathError"]
 
@@ -631,54 +631,78 @@ class PolicyController:
         rate: float,
         enforce_capacity: bool,
     ) -> tuple[int, ...] | None:
-        """Masked-array min-plus DP over the cached stage adjacency.
+        """Min-plus DP over the memoised flat stage DAG (:func:`route_plan`).
 
-        Vectorised replacement for the frontier×stage scalar DP: per stage
-        transition, candidate totals are a ``(prev, cur)`` matrix built from
-        the cached boolean adjacency (:func:`stage_adjacency`), capacity
-        pruning is a boolean mask, and ``argmin`` over the prev axis both
-        selects parents and reproduces the scalar tie-break (lowest prev node
-        id — stages are ascending).  Returns ``None`` when pruning empties a
-        stage or ``dst`` ends unreachable.
+        One gather prices every plan node; failed switches and, under
+        ``enforce_capacity``, saturated switches are priced ``inf``, which
+        leaves them — and every node reachable only through them — at an
+        infinite total.  Per stage, each node's candidate totals are its
+        parents' totals plus its own cost, read through the plan's parent
+        tables; ``argmin`` over a row picks the first minimum, i.e. the
+        lowest-id parent, reproducing the scalar tie-break.  Servers
+        single-homed on different switches share their switch pair's plan
+        (:func:`plan_endpoints`) and are attached at both ends.  Returns
+        ``None`` when ``dst`` ends at an infinite total (pruning or failures
+        emptied a stage).
         """
-        stages, mats = stage_adjacency(self.topology, src, dst)
-        if len(stages) == 1:
+        if src == dst:
             return (src,)
-        parent_idx: list[np.ndarray] = []
-        current = np.zeros(1, dtype=np.float64)
-        for k in range(1, len(stages)):
-            nodes = stages[k]
-            costs = self.node_cost_vector(nodes)
-            trans = mats[k - 1]
-            if self._failed_links:
-                # Hop-level masking: a transition over a failed physical
-                # link is as unroutable as one into a failed switch.
-                trans = trans & ~self._failed_link_mask[
-                    np.ix_(stages[k - 1], nodes)
+        head, tail = plan_endpoints(self.topology, src, dst)
+        if head != src and self._failed_links and (
+            _link_key(src, head) in self._failed_links
+            or _link_key(tail, dst) in self._failed_links
+        ):
+            return None
+        plan = route_plan(self.topology, head, tail)
+        nodes = plan.nodes
+        costs = self.node_cost_vector(nodes)
+        if enforce_capacity:
+            switches = nodes[plan.switches]
+            loads = self._load_arr[switches] + self._base_arr[switches]
+            full = self._switch_cap[switches] - loads < rate
+            costs[plan.switches[full]] = _INF
+        bounds = plan.bounds
+        # One trailing inf slot: the parent tables' padding gathers it.  A
+        # switch-pair plan starts with the source switch's (pruned) cost.
+        totals = np.empty(nodes.size + 1, dtype=np.float64)
+        totals[-1] = _INF
+        totals[0] = costs[0] if head != src else 0.0
+        # Under link failures: node ids behind the parent tables' flat
+        # indices (the padding maps to an arbitrary node, already at inf).
+        parent_ids = np.append(nodes, nodes[0]) if self._failed_links else None
+        picks: list[np.ndarray | None] = []
+        for k, parents in enumerate(plan.parents, start=1):
+            lo, hi = bounds[k], bounds[k + 1]
+            if parents.shape[1] == 1 and parent_ids is None:
+                # Every node has one parent: nothing to choose.
+                totals[lo:hi] = totals[parents.ravel()] + costs[lo:hi]
+                picks.append(None)
+                continue
+            candidates = totals[parents] + costs[lo:hi, None]
+            if parent_ids is not None:
+                # A hop over a failed physical link is as unroutable as one
+                # into a failed switch.
+                dead = self._failed_link_mask[
+                    parent_ids[parents], nodes[lo:hi, None]
                 ]
-            totals = (
-                np.where(trans, current[:, None], _INF) + costs[None, :]
-            )
-            best = totals.min(axis=0)
-            parents = totals.argmin(axis=0)
-            if enforce_capacity:
-                switches = self._switch_mask[nodes]
-                if switches.any():
-                    loads = self._load_arr[nodes] + self._base_arr[nodes]
-                    infeasible = switches & (
-                        self._switch_cap[nodes] - loads < rate
-                    )
-                    best[infeasible] = _INF
-            if not np.isfinite(best).any():
-                return None
-            parent_idx.append(parents)
-            current = best
-        # Last stage is (dst,) alone; backtrack through the parent indices.
-        path = [dst]
-        idx = 0
-        for k in range(len(stages) - 1, 0, -1):
-            idx = int(parent_idx[k - 1][idx])
-            path.append(int(stages[k - 1][idx]))
+                candidates[dead] = _INF
+            pick = candidates.argmin(axis=1)
+            totals[lo:hi] = candidates.min(axis=1)
+            picks.append(pick)
+        if not totals[-2] < _INF:
+            return None
+        # The last stage is the plan's destination alone; backtrack.
+        ids = plan.node_ids
+        idx = nodes.size - 1
+        path = [ids[idx]]
+        for k in range(len(picks), 0, -1):
+            row = idx - bounds[k]
+            pick = picks[k - 1]
+            col = 0 if pick is None else pick[row]
+            idx = int(plan.parents[k - 1][row, col])
+            path.append(ids[idx])
+        if head != src:
+            path = [dst, *path, src]
         return tuple(reversed(path))
 
     # --------------------------------------------------------- policy builds

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..cluster.resources import Resources
 from ..obs.runtime import STATE as _OBS
 from ..topology.routing import single_source_unit_costs
 from .taa import TAAInstance
@@ -77,6 +78,10 @@ class PairCostCache:
         self._columns: dict[int, np.ndarray] = {}
         self._node_costs: np.ndarray | None = None
         self._version: int = -1
+        # Server capacities never change, so the per-server capacity rows
+        # and each distinct demand's misfit mask are built once.
+        self._capacities: np.ndarray | None = None
+        self._misfits: dict[tuple[float, float], np.ndarray] = {}
 
     # --------------------------------------------------------------- building
     def _sync(self) -> None:
@@ -142,6 +147,25 @@ class PairCostCache:
             self._columns[server_id] = cached
         return cached
 
+    def misfits(self, demand: Resources) -> np.ndarray:
+        """Boolean mask over :attr:`server_ids`: servers whose *total*
+        capacity ``demand`` exceeds in some component (read-only)."""
+        key = demand.as_tuple()
+        mask = self._misfits.get(key)
+        if mask is None:
+            if self._capacities is None:
+                cluster = self._taa.cluster
+                self._capacities = np.array(
+                    [cluster.capacity(s).as_tuple() for s in self._server_ids],
+                    dtype=np.float64,
+                )
+            mask = (self._capacities < np.asarray(key, dtype=np.float64)).any(
+                axis=1
+            )
+            mask.setflags(write=False)
+            self._misfits[key] = mask
+        return mask
+
     def __len__(self) -> int:
         """Number of source columns currently priced (0 until first use)."""
         return len(self._columns)
@@ -163,6 +187,7 @@ class PreferenceMatrix:
     def __post_init__(self) -> None:
         self._server_index = {s: i for i, s in enumerate(self.server_ids)}
         self._container_index = {c: j for j, c in enumerate(self.container_ids)}
+        self._server_arr = np.asarray(self.server_ids, dtype=np.int64)
         #: Lazily filled per-server rank arrays (see :meth:`server_rank_array`).
         self._rank_arrays: dict[int, np.ndarray] = {}
         #: Memoised container rankings (column argsorts), by column index.
@@ -237,9 +262,8 @@ class PreferenceMatrix:
             ranking = prev.container_ranking(container_id)
         else:
             order = np.argsort(column, kind="stable")
-            ranking = [
-                self.server_ids[i] for i in order if np.isfinite(column[i])
-            ]
+            order = order[np.isfinite(column[order])]
+            ranking = self._server_arr[order].tolist()
         self._ranking_cache[j] = ranking
         return ranking
 
@@ -367,12 +391,6 @@ def _build_preference_matrix(
     m, n = len(server_ids), len(container_ids)
     cost = np.zeros((m, n), dtype=np.float64)
     current = np.full(n, np.inf, dtype=np.float64)
-    # Static feasibility is a pure array comparison: demand must fit the
-    # server's *total* capacity (matching re-packs everything, so residuals
-    # are checked there).
-    capacities = np.array(
-        [cluster.capacity(s).as_tuple() for s in server_ids], dtype=np.float64
-    )
     # Failed servers are blacklisted outright: an inf cost removes them from
     # every container's ranking and gives them the server-side sentinel
     # rank, so Algorithm 2 never proposes to a dead server.
@@ -398,8 +416,9 @@ def _build_preference_matrix(
             if other_server is None:
                 continue
             column += flow.rate * cache.column(other_server)
-        demand = np.asarray(container.demand.as_tuple(), dtype=np.float64)
-        column[(capacities < demand).any(axis=1)] = np.inf
+        # Static feasibility: demand must fit the server's *total* capacity
+        # (matching re-packs everything, so residuals are checked there).
+        column[cache.misfits(container.demand)] = np.inf
         if failed_rows is not None and failed_rows.size:
             column[failed_rows] = np.inf
         cost[:, j] = column

@@ -47,7 +47,11 @@ def dag_best_path_scalar(
     rate: float,
     enforce_capacity: bool,
 ) -> tuple[int, ...] | None:
-    """The original frontier-dict DP over :func:`shortest_path_stages`."""
+    """The original frontier-dict DP over :func:`shortest_path_stages`.
+
+    Failed switches and failed links are skipped outright: a dead element
+    forbids a route at any price, capacitated or not.
+    """
     stages = shortest_path_stages(controller.topology, src, dst)
     topo = controller.topology
     # frontier[node] = cumulative cost at the previous stage.
@@ -56,6 +60,8 @@ def dag_best_path_scalar(
     for stage in stages[1:]:
         nxt: dict[int, float] = {}
         for node in stage:
+            if topo.is_switch(node) and controller.is_switch_failed(node):
+                continue
             if (
                 enforce_capacity
                 and topo.is_switch(node)
@@ -73,6 +79,8 @@ def dag_best_path_scalar(
             best_prev: int | None = None
             for prev, prev_cost in frontier.items():
                 if not topo.has_link(prev, node):
+                    continue
+                if controller.is_link_failed(prev, node):
                     continue
                 total = prev_cost + node_cost
                 if total < best_total or (

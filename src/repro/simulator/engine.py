@@ -66,7 +66,6 @@ from ..schedulers.base import Scheduler, SchedulingContext
 from ..speculation.detector import AttemptProgress, SpeculationConfig
 from ..speculation.runtime import SpeculationState
 from ..topology.base import Topology
-from ..topology.routing import invalidate_topology_caches
 from ..workload.admission import AdmissionConfig, AdmissionController
 from .events import Event, EventKind, EventQueue
 from .metrics import (
@@ -1204,7 +1203,13 @@ class MapReduceSimulator:
         # Kill resident tasks.  Completed maps still holding their wave slot
         # are handled by the lost-output sweep below, not as running tasks.
         for cid in hosted:
-            task = self.cluster.container(cid).task
+            container = self.cluster.container(cid)
+            if container.server_id != server_id:
+                # Already moved off by an earlier iteration: restarting a
+                # reducer re-executes (and unplaces) the completed maps it
+                # fetched from this server.
+                continue
+            task = container.task
             job = self._jobs_by_id[task.job_id]
             if task.kind is TaskKind.MAP:
                 if task.index in job.map_output_server:
@@ -1265,7 +1270,6 @@ class MapReduceSimulator:
                 **injector.provenance_context(),
             )
         self.controller.fail_switch(switch_id)
-        invalidate_topology_caches(self.topology)
         # Reroute every flow crossing the dead switch; park the ones with no
         # remaining live path until a recovery reconnects their endpoints.
         for active in self.network.active_flows:
@@ -1305,7 +1309,6 @@ class MapReduceSimulator:
                 **injector.provenance_context(),
             )
         self.controller.recover_switch(switch_id)
-        invalidate_topology_caches(self.topology)
         self._unpark_flows(now)
 
     def _on_link_fail(self, now: float, u: int, v: int) -> None:
@@ -1383,7 +1386,6 @@ class MapReduceSimulator:
             return
         if dead:
             self.controller.fail_link(u, v)
-            invalidate_topology_caches(self.topology)
             # Reroute every flow whose path crosses the dead link; park the
             # ones with no remaining live path until a recovery.
             for active in self.network.active_flows:
@@ -1415,7 +1417,6 @@ class MapReduceSimulator:
                     injector.count("faults.flows_rerouted")
         else:
             self.controller.recover_link(u, v)
-            invalidate_topology_caches(self.topology)
             self._unpark_flows(now)
 
     def _on_task_slowdown(

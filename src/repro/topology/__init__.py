@@ -10,13 +10,15 @@ from .bcube import BCubeConfig, build_bcube
 from .describe import TopologySummary, ascii_tree, describe_topology
 from .fattree import FatTreeConfig, build_fattree
 from .routing import (
+    RoutePlan,
     bfs_layers,
     count_shortest_paths,
     enumerate_paths,
     path_is_valid,
+    plan_endpoints,
+    route_plan,
     shortest_path_stages,
     single_source_unit_costs,
-    stage_adjacency,
 )
 from .tree import TreeConfig, build_tree
 from .vl2 import VL2Config, build_vl2
@@ -37,7 +39,9 @@ __all__ = [
     "BCubeConfig",
     "build_bcube",
     "shortest_path_stages",
-    "stage_adjacency",
+    "RoutePlan",
+    "route_plan",
+    "plan_endpoints",
     "bfs_layers",
     "single_source_unit_costs",
     "enumerate_paths",

@@ -21,7 +21,6 @@ NumPy arrays indexed by node id.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Iterator, Sequence
@@ -170,7 +169,7 @@ class Topology:
             tuple(sorted(neigh)) for neigh in adjacency
         ]
         self._distance_cache: dict[int, np.ndarray] = {}
-        self._adjacency_matrix: np.ndarray | None = None
+        self._neighbor_table: np.ndarray | None = None
 
     # ------------------------------------------------------------------ nodes
     @property
@@ -241,21 +240,24 @@ class Topology:
     def neighbors(self, node_id: int) -> tuple[int, ...]:
         return self._adjacency[node_id]
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense boolean adjacency, ``A[u, v]`` True iff ``u``—``v`` is a link.
+    def neighbor_table(self) -> np.ndarray:
+        """Padded neighbour table: row ``u`` lists :meth:`neighbors` of ``u``
+        (ascending ids), padded with ``num_nodes`` up to the largest degree.
 
-        Built once on first use and returned read-only; vectorised routing
-        kernels slice per-stage sub-matrices out of it instead of issuing
-        per-pair :meth:`has_link` calls.
+        Built once on first use and returned read-only.  The pad value is
+        one past the last node id, so array kernels gather through it from
+        node-indexed arrays that carry one trailing sentinel slot.
         """
-        if self._adjacency_matrix is None:
-            matrix = np.zeros((self._num_nodes, self._num_nodes), dtype=bool)
-            for u, v in self._links:
-                matrix[u, v] = True
-                matrix[v, u] = True
-            matrix.setflags(write=False)
-            self._adjacency_matrix = matrix
-        return self._adjacency_matrix
+        if self._neighbor_table is None:
+            width = max((len(neigh) for neigh in self._adjacency), default=0)
+            table = np.full(
+                (self._num_nodes, width), self._num_nodes, dtype=np.intp
+            )
+            for u, neigh in enumerate(self._adjacency):
+                table[u, : len(neigh)] = neigh
+            table.setflags(write=False)
+            self._neighbor_table = table
+        return self._neighbor_table
 
     def degree(self, node_id: int) -> int:
         return len(self._adjacency[node_id])
@@ -264,23 +266,31 @@ class Topology:
     def hop_distances_from(self, source: int) -> np.ndarray:
         """BFS hop distances from ``source`` to every node.
 
-        Unreachable nodes get :data:`UNREACHABLE`.  Results are cached per
-        source; a 512-server tree has a few hundred nodes so the cache stays
-        small while letting schedulers issue thousands of queries cheaply.
+        Unreachable nodes get :data:`UNREACHABLE`.  The BFS expands one whole
+        frontier per step through :meth:`neighbor_table`.  Results are cached
+        per source; a 512-server tree has a few hundred nodes so the cache
+        stays small while letting schedulers issue thousands of queries
+        cheaply.
         """
         cached = self._distance_cache.get(source)
         if cached is not None:
             return cached
-        dist = np.full(self._num_nodes, UNREACHABLE, dtype=np.int64)
+        table = self.neighbor_table()
+        n = self._num_nodes
+        # The trailing slot absorbs the table's padding; marking it reached
+        # keeps it out of every frontier.
+        dist = np.full(n + 1, UNREACHABLE, dtype=np.int64)
+        dist[n] = 0
         dist[source] = 0
-        queue: deque[int] = deque([source])
-        while queue:
-            node = queue.popleft()
-            next_d = dist[node] + 1
-            for neigh in self._adjacency[node]:
-                if dist[neigh] == UNREACHABLE:
-                    dist[neigh] = next_d
-                    queue.append(neigh)
+        frontier = np.array([source], dtype=np.intp)
+        depth = 0
+        while frontier.size:
+            depth += 1
+            reach = table[frontier].ravel()
+            reach = reach[dist[reach] == UNREACHABLE]
+            dist[reach] = depth
+            frontier = np.flatnonzero(dist == depth)
+        dist = dist[:n]
         dist.setflags(write=False)
         self._distance_cache[source] = dist
         return dist

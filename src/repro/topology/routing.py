@@ -10,70 +10,181 @@ endpoints.  This module computes that structure:
 
 * :func:`shortest_path_stages` — for a node pair, the list of candidate node
   sets per hop index (the layered graph Algorithm 1's DP runs over);
+* :func:`route_plan` / :func:`plan_endpoints` — the same DAG flattened into
+  one node array with per-node parent-index tables, the form the policy DP
+  runs on;
+* :func:`bfs_layers` / :func:`single_source_unit_costs` — one source's BFS
+  layers with parent tables, and the batched min-plus pricing over them;
 * :func:`enumerate_paths` — explicit enumeration of equal-cost (optionally
   slack-extended) paths, used by the exact solver and by tests as ground
   truth.
+
+Every structure here depends only on the topology graph, which is immutable
+after construction, so each is memoised per topology and never goes stale;
+failures are masked by the consumers when they gather costs.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .base import Topology, UNREACHABLE
 
-#: Per-topology memo of stage decompositions, keyed by the topology object
-#: (weakly — entries vanish with their topology) then (src, dst).
-#: Topologies are immutable after construction, so entries never go stale.
-#: A plain id(topology)-keyed dict would be wrong: once a topology is
-#: garbage-collected a *new* topology can reuse the same id() and silently
-#: inherit the old one's stages, making the policy DP walk a graph that no
-#: longer exists (surfaced by the randomized property suite, which builds
-#: hundreds of short-lived topologies).
+# Per-topology memos, keyed weakly by the topology object (entries vanish
+# with their topology).  A plain id(topology)-keyed dict would be wrong: once
+# a topology is garbage-collected a *new* topology can reuse the same id()
+# and silently inherit the old one's structures, making the policy DP walk a
+# graph that no longer exists (surfaced by the randomized property suite,
+# which builds hundreds of short-lived topologies).
+
+#: (src, dst) -> stage tuples of :func:`shortest_path_stages`.
 _STAGE_CACHE: "weakref.WeakKeyDictionary[Topology, dict[tuple[int, int], list[tuple[int, ...]]]]" = (
     weakref.WeakKeyDictionary()
 )
-
-#: Vectorised companion to :data:`_STAGE_CACHE`: per (src, dst), the stages
-#: as integer arrays plus the boolean adjacency matrix between each pair of
-#: consecutive stages.  Same weak keying and staleness argument as above.
-_STAGE_ADJ_CACHE: "weakref.WeakKeyDictionary[Topology, dict[tuple[int, int], tuple[list[np.ndarray], list[np.ndarray]]]]" = (
+#: (src, dst) -> :class:`RoutePlan`.
+_PLAN_CACHE: "weakref.WeakKeyDictionary[Topology, dict[tuple[int, int], RoutePlan]]" = (
     weakref.WeakKeyDictionary()
 )
-
-#: Per-source BFS layer decomposition used by the batched unit-cost solver:
-#: layer node arrays plus consecutive-layer adjacency matrices.
+#: Per node: the one switch a single-homed server hangs off, else -1.
+_ATTACH_CACHE: "weakref.WeakKeyDictionary[Topology, tuple[int, ...]]" = (
+    weakref.WeakKeyDictionary()
+)
+#: src -> (layers, parent tables) of :func:`bfs_layers`.
 _LAYER_CACHE: "weakref.WeakKeyDictionary[Topology, dict[int, tuple[list[np.ndarray], list[np.ndarray]]]]" = (
     weakref.WeakKeyDictionary()
 )
 
 __all__ = [
+    "RoutePlan",
     "shortest_path_stages",
-    "stage_adjacency",
+    "route_plan",
+    "plan_endpoints",
     "bfs_layers",
     "single_source_unit_costs",
     "enumerate_paths",
     "count_shortest_paths",
-    "invalidate_topology_caches",
 ]
 
 
-def invalidate_topology_caches(topology: Topology) -> None:
-    """Drop every memoised routing structure for ``topology``.
+def _per_topology(cache: weakref.WeakKeyDictionary, topology: Topology) -> dict:
+    entry = cache.get(topology)
+    if entry is None:
+        entry = cache[topology] = {}
+    return entry
 
-    The stage/layer caches are purely structural (which nodes lie on which
-    shortest paths) and the topology graph itself is immutable, so in normal
-    operation they never go stale.  The fault-injection layer still calls
-    this on switch failure/recovery: availability is masked dynamically in
-    the policy DP, but explicitly dropping the memos keeps the contract
-    simple ("after a fabric-state change, no routing memo survives") and
-    bounds memory on long fault timelines.  Safe to call at any time — the
-    structures rebuild lazily on next use.
+
+def _parent_table(values: np.ndarray, member: np.ndarray, pad: int) -> np.ndarray:
+    """Compact each row's ``member`` entries of ``values`` to its front.
+
+    Members keep their order; the table is as wide as the row with the most
+    members and the rest is filled with ``pad``.  Returned read-only.
     """
-    for cache in (_STAGE_CACHE, _STAGE_ADJ_CACHE, _LAYER_CACHE):
-        cache.pop(topology, None)
+    rows, cols = np.nonzero(member)
+    # A member's slot is the number of members before it in its row.
+    slots = np.cumsum(member, axis=1)[rows, cols] - 1
+    table = np.full((member.shape[0], int(slots.max()) + 1), pad, dtype=np.intp)
+    table[rows, slots] = values[rows, cols]
+    table.setflags(write=False)
+    return table
+
+
+class RoutePlan(NamedTuple):
+    """The shortest-path stage DAG between two nodes, flattened for the DP.
+
+    Stage ``k`` (the nodes at hop ``k`` of some shortest path, ascending
+    ids) is ``nodes[bounds[k]:bounds[k + 1]]``; stage 0 is the source alone
+    and the last stage the destination alone.  ``parents[k - 1]`` has one
+    row per stage-``k`` node listing the flat indices of its stage-``k-1``
+    neighbours in ascending order, padded with ``len(nodes)`` to the stage's
+    largest in-degree.  ``switches`` holds the flat indices of the switches.
+    """
+
+    nodes: np.ndarray
+    node_ids: tuple[int, ...]
+    bounds: tuple[int, ...]
+    parents: tuple[np.ndarray, ...]
+    switches: np.ndarray
+
+
+def _stage_order(
+    topology: Topology, src: int, dst: int
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Shortest-path stage nodes between ``src`` and ``dst``, flattened:
+    stage ``k`` is ``nodes[bounds[k]:bounds[k + 1]]`` (ascending ids).
+
+    Raises ``ValueError`` when the endpoints are disconnected.
+    """
+    dist_src = topology.hop_distances_from(src)
+    dist_dst = topology.hop_distances_from(dst)
+    total = int(dist_src[dst])
+    if total == UNREACHABLE:
+        raise ValueError(f"no path between {src} and {dst}")
+    # Nodes on some shortest path satisfy d(src, n) + d(n, dst) == total;
+    # a stable sort by depth groups them into stages of ascending ids.
+    on_path = np.flatnonzero(dist_src + dist_dst == total)
+    depth = dist_src[on_path]
+    order = np.argsort(depth, kind="stable")
+    bounds = np.searchsorted(depth[order], np.arange(total + 2))
+    return on_path[order], tuple(bounds.tolist())
+
+
+def route_plan(topology: Topology, src: int, dst: int) -> RoutePlan:
+    """The :class:`RoutePlan` between ``src`` and ``dst``, memoised.
+
+    Raises ``ValueError`` when the endpoints are disconnected.
+    """
+    per_topo = _per_topology(_PLAN_CACHE, topology)
+    plan = per_topo.get((src, dst))
+    if plan is not None:
+        return plan
+    nodes, bounds = _stage_order(topology, src, dst)
+    nodes.setflags(write=False)
+    index = np.full(topology.num_nodes + 1, -1, dtype=np.intp)
+    index[nodes] = np.arange(nodes.size)
+    table = topology.neighbor_table()
+    parents = []
+    for k in range(1, len(bounds) - 1):
+        flat = index[table[nodes[bounds[k] : bounds[k + 1]]]]
+        member = (flat >= bounds[k - 1]) & (flat < bounds[k])
+        parents.append(_parent_table(flat, member, nodes.size))
+    switches = np.flatnonzero(nodes >= topology.num_servers)
+    switches.setflags(write=False)
+    plan = RoutePlan(
+        nodes, tuple(nodes.tolist()), bounds, tuple(parents), switches
+    )
+    per_topo[(src, dst)] = plan
+    return plan
+
+
+def plan_endpoints(topology: Topology, src: int, dst: int) -> tuple[int, int]:
+    """The node pair a route between ``src`` and ``dst`` is planned over.
+
+    A single-homed server's every route begins (or ends) with its one access
+    link, so between two servers single-homed on *different* switches the
+    stage DAG is the switches' DAG with one server at each end.  Such pairs
+    share the plan of their switch pair; every other pair (multi-homed
+    servers as in BCube, two servers on one switch, switch endpoints) is
+    planned over itself.
+    """
+    attach = _ATTACH_CACHE.get(topology)
+    if attach is None:
+        homes = []
+        for u in range(topology.num_nodes):
+            neigh = topology.neighbors(u)
+            single = (
+                topology.is_server(u)
+                and len(neigh) == 1
+                and topology.is_switch(neigh[0])
+            )
+            homes.append(neigh[0] if single else -1)
+        attach = _ATTACH_CACHE[topology] = tuple(homes)
+    a, b = attach[src], attach[dst]
+    if a < 0 or b < 0 or a == b:
+        return src, dst
+    return a, b
 
 
 def shortest_path_stages(
@@ -92,86 +203,47 @@ def shortest_path_stages(
     """
     if src == dst:
         return [(src,)]
-    per_topo = _STAGE_CACHE.setdefault(topology, {})
-    cached = per_topo.get((src, dst))
-    if cached is not None:
-        return cached
-    dist_src = topology.hop_distances_from(src)
-    dist_dst = topology.hop_distances_from(dst)
-    total = int(dist_src[dst])
-    if total == UNREACHABLE:
-        raise ValueError(f"no path between {src} and {dst}")
-    # Nodes on some shortest path satisfy d(src, n) + d(n, dst) == total.
-    on_path = dist_src + dist_dst == total
-    stages: list[tuple[int, ...]] = [(src,)]
-    for j in range(1, total):
-        stage = tuple(
-            int(n) for n in np.nonzero(on_path & (dist_src == j))[0]
-        )
-        stages.append(stage)
-    stages.append((dst,))
-    per_topo[(src, dst)] = stages
+    per_topo = _per_topology(_STAGE_CACHE, topology)
+    stages = per_topo.get((src, dst))
+    if stages is None:
+        nodes, bounds = _stage_order(topology, src, dst)
+        ids = tuple(nodes.tolist())
+        stages = [ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        per_topo[(src, dst)] = stages
     return stages
-
-
-def stage_adjacency(
-    topology: Topology, src: int, dst: int
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Vectorised form of :func:`shortest_path_stages` for the policy DP.
-
-    Returns ``(stages, mats)`` where ``stages[k]`` is the k-th stage as an
-    int64 array (ascending node ids, identical contents to
-    ``shortest_path_stages``) and ``mats[k]`` is the boolean matrix of shape
-    ``(len(stages[k]), len(stages[k+1]))`` with ``mats[k][i, j]`` True iff
-    ``stages[k][i]`` and ``stages[k+1][j]`` are physically adjacent.  Cached
-    per (topology, src, dst); topologies are immutable so entries never go
-    stale.
-    """
-    per_topo = _STAGE_ADJ_CACHE.setdefault(topology, {})
-    cached = per_topo.get((src, dst))
-    if cached is not None:
-        return cached
-    stage_tuples = shortest_path_stages(topology, src, dst)
-    stages = [np.asarray(stage, dtype=np.int64) for stage in stage_tuples]
-    adjacency = topology.adjacency_matrix()
-    mats = [
-        adjacency[np.ix_(stages[k], stages[k + 1])]
-        for k in range(len(stages) - 1)
-    ]
-    entry = (stages, mats)
-    per_topo[(src, dst)] = entry
-    return entry
 
 
 def bfs_layers(
     topology: Topology, src: int
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """BFS layer decomposition from ``src`` with inter-layer adjacency.
+    """BFS layer decomposition from ``src`` with per-node parent tables.
 
     ``layers[d]`` holds every node at hop distance ``d`` from ``src``
-    (ascending ids; unreachable nodes appear in no layer) and ``mats[d]`` is
-    the boolean adjacency between ``layers[d]`` and ``layers[d+1]``.  This is
-    the structure :func:`single_source_unit_costs` prices routes over — any
-    hop-shortest path to a node at layer ``d`` enters it from layer ``d-1``.
-    Cached per (topology, src).
+    (ascending ids; unreachable nodes appear in no layer).  ``parents[d]``
+    has one row per node of ``layers[d + 1]`` listing its neighbours in
+    ``layers[d]`` (ascending ids), padded with ``num_nodes`` to that layer's
+    largest in-degree.  This is the structure
+    :func:`single_source_unit_costs` prices routes over — any hop-shortest
+    path to a node at layer ``d`` enters it from layer ``d-1``.  Cached per
+    (topology, src).
     """
-    per_topo = _LAYER_CACHE.setdefault(topology, {})
+    per_topo = _per_topology(_LAYER_CACHE, topology)
     cached = per_topo.get(src)
     if cached is not None:
         return cached
     dist = topology.hop_distances_from(src)
-    reachable = dist != UNREACHABLE
-    max_depth = int(dist[reachable].max()) if reachable.any() else 0
-    layers = [
-        np.nonzero(dist == d)[0].astype(np.int64)
-        for d in range(max_depth + 1)
-    ]
-    adjacency = topology.adjacency_matrix()
-    mats = [
-        adjacency[np.ix_(layers[d], layers[d + 1])]
-        for d in range(len(layers) - 1)
-    ]
-    entry = (layers, mats)
+    max_depth = int(dist.max())
+    layers = [np.flatnonzero(dist == d) for d in range(max_depth + 1)]
+    # Padding gathers an unreachable depth, so it is never a member.
+    depth = np.append(dist, UNREACHABLE)
+    table = topology.neighbor_table()
+    parents = []
+    for d in range(1, len(layers)):
+        neigh = table[layers[d]]
+        parents.append(
+            _parent_table(neigh, depth[neigh] == d - 1, topology.num_nodes)
+        )
+    entry = (layers, parents)
     per_topo[src] = entry
     return entry
 
@@ -189,19 +261,16 @@ def single_source_unit_costs(
     (``inf`` for unreachable nodes).  For a destination server this is
     exactly the relaxed-capacity pair cost the per-pair stage DP computes —
     every prefix of a hop-shortest path is itself hop-shortest, so the
-    per-layer recurrence ``best[n] = min over adjacent prev of best[prev]``
+    per-layer recurrence ``best[n] = min over parents of best[parent]``
     plus ``node_costs[n]`` prices all destinations at once.
     """
-    layers, mats = bfs_layers(topology, src)
-    best = np.full(topology.num_nodes, np.inf, dtype=np.float64)
-    current = np.asarray([node_costs[src]], dtype=np.float64)
-    best[src] = current[0]
-    for depth, mat in enumerate(mats):
-        nodes = layers[depth + 1]
-        reached = np.where(mat, current[:, None], np.inf).min(axis=0)
-        current = reached + node_costs[nodes]
-        best[nodes] = current
-    return best
+    layers, parents = bfs_layers(topology, src)
+    # One trailing inf slot: the parent tables' padding gathers it.
+    best = np.full(topology.num_nodes + 1, np.inf, dtype=np.float64)
+    best[src] = node_costs[src]
+    for nodes, table in zip(layers[1:], parents):
+        best[nodes] = best[table].min(axis=1) + node_costs[nodes]
+    return best[:-1]
 
 
 def enumerate_paths(

@@ -4,9 +4,11 @@ The vectorised routing/preference kernels (stage-adjacency DP, batched
 all-pairs unit-cost matrix, array-assembled preference columns) are required
 to be *bit-compatible* with the scalar implementations they replaced: same
 paths under the same deterministic tie-breaks, same costs, same matchings.
-This suite checks that claim directly on randomized Tree / Fat-Tree / VL2
-instances across 54 seeds (18 per fabric family), plus targeted cases for
-capacity pruning and determinism of the new code path.
+This suite checks that claim directly on randomized Tree / Fat-Tree / VL2 /
+BCube instances across 72 seeds (18 per fabric family), plus targeted cases
+for capacity pruning, failed switches and links on the switch-pair route
+plans, same-switch pairs, container rankings and determinism of the new code
+path.
 """
 
 from __future__ import annotations
@@ -25,16 +27,19 @@ from repro.core.scalar_ref import (
 )
 from repro.mapreduce import ShuffleFlow
 from repro.topology import (
+    BCubeConfig,
     FatTreeConfig,
     TreeConfig,
     VL2Config,
+    build_bcube,
     build_fattree,
     build_tree,
     build_vl2,
+    plan_endpoints,
 )
 
-TOPOLOGIES = ("tree", "fattree", "vl2")
-SEEDS_PER_TOPOLOGY = 18  # 3 x 18 = 54 randomized instances >= the 50 floor
+TOPOLOGIES = ("tree", "fattree", "vl2", "bcube")
+SEEDS_PER_TOPOLOGY = 18  # 4 x 18 = 72 randomized instances >= the 50 floor
 
 
 def random_topology(kind: str, rng: np.random.Generator):
@@ -49,6 +54,15 @@ def random_topology(kind: str, rng: np.random.Generator):
         )
     if kind == "fattree":
         return build_fattree(FatTreeConfig(k=4))
+    if kind == "bcube":
+        # Multi-homed servers: every server pair keeps its own route plan.
+        return build_bcube(
+            BCubeConfig(
+                n=int(rng.integers(2, 4)),
+                k=int(rng.integers(1, 3)),
+                server_resources=(float(rng.integers(2, 4)),),
+            )
+        )
     return build_vl2(
         VL2Config(
             num_intermediate=int(rng.integers(2, 4)),
@@ -207,3 +221,151 @@ def test_hit_optimizer_determinism_on_vector_path(kind, seed):
         m.assignment for m in r2.matchings
     ]
     assert taa1.verify_constraints() == []
+
+
+# ------------------------------------------- route plans keyed by switch pair
+def single_homed_fabric(kind: str):
+    """Fabrics whose servers hang off one access switch each, so cross-switch
+    server pairs share their switch pair's route plan."""
+    if kind == "tree":
+        return build_tree(TreeConfig(depth=2, fanout=3, redundancy=1))
+    if kind == "fattree":
+        return build_fattree(FatTreeConfig(k=4))
+    return build_vl2(
+        VL2Config(num_intermediate=2, num_aggregation=3, num_tor=4, servers_per_tor=3)
+    )
+
+
+def loaded_controller(kind: str, seed: int, spread: bool):
+    """A controller over a single-homed fabric.  ``spread`` loads switches
+    unevenly as background load; without it every equal-length route ties,
+    which exercises the lowest-id tie-break."""
+    taa = TAAInstance(single_homed_fabric(kind), [], [])
+    controller = taa.controller
+    if spread:
+        rng = np.random.default_rng(seed)
+        for w in taa.topology.switch_ids:
+            capacity = taa.topology.switch(w).capacity
+            controller.set_base_load(w, capacity * float(rng.uniform(0.0, 0.95)))
+    return controller
+
+
+def access_switch(topology, server: int) -> int:
+    (switch,) = topology.neighbors(server)
+    return switch
+
+
+def assert_dp_matches_scalar(controller, pairs, rates=(0.5, 5.0)) -> list:
+    results = []
+    for a, b in pairs:
+        for enforce in (False, True):
+            for rate in rates:
+                vector = controller._dag_best_path(a, b, rate, enforce)
+                scalar = dag_best_path_scalar(controller, a, b, rate, enforce)
+                assert vector == scalar, (a, b, rate, enforce)
+                results.append(vector)
+    return results
+
+
+def cross_switch_pairs(topology, anchor: int) -> list[tuple[int, int]]:
+    servers = topology.server_ids
+    pairs = [(anchor, s) for s in servers if s != anchor]
+    pairs += [(s, anchor) for s in servers if s != anchor]
+    return pairs
+
+
+DP_KINDS = ("tree", "fattree", "vl2")
+
+
+@pytest.mark.parametrize("spread", [False, True])
+@pytest.mark.parametrize("kind", DP_KINDS)
+def test_dag_failed_attachment_switch_matches_scalar(kind, spread):
+    controller = loaded_controller(kind, seed=11, spread=spread)
+    topology = controller.topology
+    anchor = topology.server_ids[0]
+    pairs = cross_switch_pairs(topology, anchor)
+    assert any(plan_endpoints(topology, a, b) != (a, b) for a, b in pairs)
+    controller.fail_switch(access_switch(topology, anchor))
+    results = assert_dp_matches_scalar(controller, pairs)
+    assert all(path is None for path in results)
+    # Pairs that avoid the dead switch still route.
+    others = [s for s in topology.server_ids[1:]
+              if access_switch(topology, s) != access_switch(topology, anchor)]
+    results = assert_dp_matches_scalar(controller, [(others[0], others[-1])])
+    assert all(path is not None for path in results)
+
+
+@pytest.mark.parametrize("spread", [False, True])
+@pytest.mark.parametrize("kind", DP_KINDS)
+def test_dag_failed_access_link_matches_scalar(kind, spread):
+    controller = loaded_controller(kind, seed=12, spread=spread)
+    topology = controller.topology
+    anchor = topology.server_ids[-1]
+    pairs = cross_switch_pairs(topology, anchor)
+    controller.fail_link(anchor, access_switch(topology, anchor))
+    results = assert_dp_matches_scalar(controller, pairs)
+    assert all(path is None for path in results)
+    # A failed fabric link is masked inside the shared switch-pair plan.
+    fabric = next(
+        link for link in topology.links
+        if topology.is_switch(link.u) and topology.is_switch(link.v)
+    )
+    controller.fail_link(fabric.u, fabric.v)
+    servers = topology.server_ids
+    assert_dp_matches_scalar(
+        controller, [(a, b) for a in servers[:4] for b in servers[-4:] if a != b]
+    )
+
+
+@pytest.mark.parametrize("kind", DP_KINDS)
+def test_dag_capacity_pruning_on_switch_pair_plans_matches_scalar(kind):
+    controller = loaded_controller(kind, seed=13, spread=True)
+    topology = controller.topology
+    servers = topology.server_ids
+    pairs = [(a, b) for a in servers for b in servers if a != b]
+    rates = (0.5, 5.0, 20.0, 60.0)
+    results = assert_dp_matches_scalar(controller, pairs, rates)
+    # Pruning actually bit: some routes are cut, some survive.
+    assert any(p is None for p in results) and any(p is not None for p in results)
+
+
+@pytest.mark.parametrize("spread", [False, True])
+@pytest.mark.parametrize("kind", DP_KINDS)
+def test_dag_same_switch_pairs_match_scalar(kind, spread):
+    controller = loaded_controller(kind, seed=14, spread=spread)
+    topology = controller.topology
+    by_switch: dict[int, list[int]] = {}
+    for s in topology.server_ids:
+        by_switch.setdefault(access_switch(topology, s), []).append(s)
+    pairs = [
+        (a, b)
+        for group in by_switch.values()
+        for a in group
+        for b in group
+        if a != b
+    ]
+    assert pairs and all(plan_endpoints(topology, a, b) == (a, b) for a, b in pairs)
+    results = assert_dp_matches_scalar(controller, pairs)
+    assert all(p is None or len(p) == 3 for p in results)
+
+
+# ------------------------------------------------------- container rankings
+@pytest.mark.parametrize("kind,seed", [(k, s) for k in TOPOLOGIES for s in range(4)])
+def test_container_ranking_matches_comprehension(kind, seed):
+    """The array ranking equals the original per-element comprehension,
+    including failed servers' ``inf`` rows (dropped from every ranking)."""
+    taa = random_instance(kind, 900 + seed)
+    cluster = taa.cluster
+    servers = cluster.server_ids
+    rng = np.random.default_rng(seed)
+    for sid in rng.choice(servers, size=max(1, len(servers) // 4), replace=False):
+        cluster.fail_server(int(sid))
+    matrix = build_preference_matrix(taa)
+    assert not np.isfinite(matrix.cost).all()
+    for j, cid in enumerate(matrix.container_ids):
+        column = matrix.cost[:, j]
+        order = np.argsort(column, kind="stable")
+        expected = [matrix.server_ids[i] for i in order if np.isfinite(column[i])]
+        ranking = matrix.container_ranking(cid)
+        assert ranking == expected
+        assert all(type(s) is int for s in ranking)

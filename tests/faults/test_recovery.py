@@ -9,7 +9,8 @@ import dataclasses
 
 import pytest
 
-from repro.faults import FaultKind, FaultSpec
+from repro.experiments import configs
+from repro.faults import FaultKind, FaultSpec, generate_timeline
 from repro.obs import InvariantChecker, observe
 from repro.schedulers import make_scheduler
 from repro.simulator import MapReduceSimulator, SimulationConfig, run_simulation
@@ -93,6 +94,50 @@ class TestServerFailure:
         assert counters.get("retries.map", 0) + counters.get("retries.reduce", 0) >= 1
         # Every map is eventually recorded done at least once.
         assert metrics.task_durations("map").size >= 4
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_reducer_restart_does_not_kill_its_lost_maps_twice(self, seed):
+        """A failing server hosts a reducer and completed maps it fetched
+        from.  Restarting the reducer re-executes (and unplaces) those maps
+        before the kill loop reaches them; the loop must skip them rather
+        than unplace them again.  On these seeds the testbed timeline hits
+        exactly that ordering."""
+        topology = configs.testbed_tree()
+        jobs = configs.testbed_workload(seed)
+        faults = generate_timeline(
+            topology, seed=seed, horizon=30, server_mtbf=8, server_mttr=0.5
+        )
+        config = SimulationConfig(seed=seed, faults=faults, max_task_retries=10)
+        sim = MapReduceSimulator(
+            topology, make_scheduler("hit", seed=seed), jobs, config
+        )
+        # Retries charged while each server failure is handled.
+        per_failure: list[list[tuple[str, int, int]]] = []
+        on_fail, charge = sim._on_server_fail, sim._charge_retry
+
+        def on_server_fail(now, server_id):
+            per_failure.append([])
+            on_fail(now, server_id)
+
+        def charge_retry(job, cid, kind):
+            if per_failure:
+                per_failure[-1].append((kind, job.spec.job_id, cid))
+            charge(job, cid, kind)
+
+        sim._on_server_fail, sim._charge_retry = on_server_fail, charge_retry
+        metrics = sim.run()
+        assert len(metrics.jobs) == len(jobs)
+        assert sorted(j.job_id for j in metrics.jobs) == [j.job_id for j in jobs]
+        for charges in per_failure:
+            cids = [cid for _, _, cid in charges]
+            assert len(cids) == len(set(cids)), charges
+        # The ordering under test happened: one failure restarted a reducer
+        # and re-executed a map of the same job.
+        assert any(
+            {job for kind, job, _ in charges if kind == "map"}
+            & {job for kind, job, _ in charges if kind == "reduce"}
+            for charges in per_failure
+        )
 
     def test_retry_budget_exhaustion_aborts(self, topo):
         baseline = run_simulation(topo, make_scheduler("capacity"), jobs_one())

@@ -1,21 +1,30 @@
 """Routing utilities: stage DAGs, path enumeration and their consistency."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.topology import (
+    UNREACHABLE,
+    BCubeConfig,
+    FatTreeConfig,
+    TreeConfig,
+    VL2Config,
     bfs_layers,
     build_bcube,
     build_fattree,
     build_tree,
+    build_vl2,
     count_shortest_paths,
     enumerate_paths,
     path_is_valid,
+    plan_endpoints,
+    route_plan,
     shortest_path_stages,
     single_source_unit_costs,
-    stage_adjacency,
 )
 
 
@@ -62,35 +71,69 @@ class TestStages:
 
 
 class TestStageAdjacency:
+    """The flat route plan: stages plus per-node parent tables."""
+
     def test_matches_has_link(self, tree):
-        stages, mats = stage_adjacency(tree, 0, 15)
-        assert [tuple(int(n) for n in s) for s in stages] == [
-            tuple(s) for s in shortest_path_stages(tree, 0, 15)
+        plan = route_plan(tree, 0, 15)
+        ids, bounds = plan.node_ids, plan.bounds
+        stages = [ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        assert stages == shortest_path_stages(tree, 0, 15)
+        pad = len(plan.nodes)
+        for k, table in enumerate(plan.parents, start=1):
+            expected = [
+                [a for a in stages[k - 1] if tree.has_link(a, child)]
+                for child in stages[k]
+            ]
+            listed = [[ids[p] for p in row if p != pad] for row in table]
+            assert listed == expected
+            # Trimmed to the stage's largest in-degree.
+            assert table.shape[1] == max(len(row) for row in expected)
+        assert [ids[i] for i in plan.switches] == [
+            n for n in ids if tree.is_switch(n)
         ]
-        for k, mat in enumerate(mats):
-            for i, a in enumerate(stages[k]):
-                for j, b in enumerate(stages[k + 1]):
-                    assert mat[i, j] == tree.has_link(int(a), int(b))
 
     def test_cached_identity(self, tree):
-        assert stage_adjacency(tree, 0, 15) is stage_adjacency(tree, 0, 15)
+        assert route_plan(tree, 0, 15) is route_plan(tree, 0, 15)
 
-    def test_adjacency_matrix_symmetric(self, tree):
-        matrix = tree.adjacency_matrix()
-        assert np.array_equal(matrix, matrix.T)
-        assert not matrix.diagonal().any()
-        assert matrix.sum() == 2 * len(tree.links)
+    def test_neighbor_table_symmetric(self, tree):
+        table = tree.neighbor_table()
+        pad = tree.num_nodes
+        rows = [tuple(int(v) for v in row if v != pad) for row in table]
+        assert rows == [tree.neighbors(u) for u in range(tree.num_nodes)]
+        assert all(u in rows[v] for u in range(pad) for v in rows[u])
+        assert sum(map(len, rows)) == 2 * len(tree.links)
+
+    def test_single_homed_servers_plan_between_switches(self):
+        ft = build_fattree(k=4)
+        edge_of = {s: ft.neighbors(s)[0] for s in ft.server_ids}
+        assert plan_endpoints(ft, 0, 8) == (edge_of[0], edge_of[8])
+        # Same access switch, or a switch endpoint: planned over itself.
+        same = next(s for s in ft.server_ids[1:] if edge_of[s] == edge_of[0])
+        assert plan_endpoints(ft, 0, same) == (0, same)
+        assert plan_endpoints(ft, 0, edge_of[8]) == (0, edge_of[8])
+
+    def test_multi_homed_servers_plan_over_themselves(self, tree):
+        bcube = build_bcube(n=4, k=1)
+        assert plan_endpoints(bcube, 0, 15) == (0, 15)
+        # Redundancy-2 tree servers hang off two access switches.
+        assert plan_endpoints(tree, 0, 15) == (0, 15)
 
 
 class TestSingleSourceUnitCosts:
     def test_layers_partition_reachable_nodes(self, tree):
-        layers, mats = bfs_layers(tree, 0)
+        layers, parents = bfs_layers(tree, 0)
         seen = np.concatenate(layers)
         assert len(seen) == len(set(seen.tolist())) == tree.num_nodes
         dist = tree.hop_distances_from(0)
         for d, layer in enumerate(layers):
             assert all(dist[n] == d for n in layer)
-        assert len(mats) == len(layers) - 1
+        assert len(parents) == len(layers) - 1
+        for d, table in enumerate(parents):
+            for child, row in zip(layers[d + 1], table):
+                listed = [int(p) for p in row if p != tree.num_nodes]
+                assert listed == [
+                    int(p) for p in layers[d] if tree.has_link(int(p), int(child))
+                ]
 
     def test_unit_hop_costs_equal_switch_count(self, tree):
         """With unit node costs on switches, the solver returns the number
@@ -201,3 +244,75 @@ def test_property_bcube_paths_valid(src, dst):
     for path in enumerate_paths(topo, src, dst, slack=0, limit=64):
         assert path_is_valid(topo, path)
         assert path[0] == src and path[-1] == dst
+
+
+# --------------------------------------------------------------- exactness
+GENERATED = {
+    "tree-d2f4r1": lambda: build_tree(TreeConfig(depth=2, fanout=4, redundancy=1)),
+    "tree-d3f4r2": lambda: build_tree(TreeConfig(depth=3, fanout=4, redundancy=2)),
+    "fattree-k4": lambda: build_fattree(FatTreeConfig(k=4)),
+    "fattree-k8": lambda: build_fattree(FatTreeConfig(k=8)),
+    "vl2": lambda: build_vl2(
+        VL2Config(num_intermediate=3, num_aggregation=4, num_tor=6, servers_per_tor=3)
+    ),
+    "bcube-n4k1": lambda: build_bcube(BCubeConfig(n=4, k=1)),
+    "bcube-n3k2": lambda: build_bcube(BCubeConfig(n=3, k=2)),
+}
+
+
+def deque_bfs(topology, source):
+    """Reference hop distances: the node-at-a-time queue BFS."""
+    dist = np.full(topology.num_nodes, UNREACHABLE, dtype=np.int64)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        for neigh in topology.neighbors(node):
+            if dist[neigh] == UNREACHABLE:
+                dist[neigh] = dist[node] + 1
+                queue.append(neigh)
+    return dist
+
+
+def dense_unit_costs(topology, source, node_costs):
+    """Reference pricing: the layered min-plus pass over dense boolean
+    adjacency matrices between consecutive BFS layers."""
+    n = topology.num_nodes
+    adjacency = np.zeros((n, n), dtype=bool)
+    for link in topology.links:
+        adjacency[link.u, link.v] = adjacency[link.v, link.u] = True
+    dist = deque_bfs(topology, source)
+    layers = [np.flatnonzero(dist == d) for d in range(int(dist.max()) + 1)]
+    best = np.full(n, np.inf, dtype=np.float64)
+    current = np.asarray([node_costs[source]], dtype=np.float64)
+    best[source] = current[0]
+    for prev, nodes in zip(layers, layers[1:]):
+        mat = adjacency[np.ix_(prev, nodes)]
+        current = np.where(mat, current[:, None], np.inf).min(axis=0) + node_costs[nodes]
+        best[nodes] = current
+    return best
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_hop_distances_match_queue_bfs(name):
+    topology = GENERATED[name]()
+    for source in range(topology.num_nodes):
+        dist = topology.hop_distances_from(source)
+        assert dist.dtype == np.int64
+        assert np.array_equal(dist, deque_bfs(topology, source)), (name, source)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_unit_costs_bytes_match_dense_reference(name):
+    """Skewed switch costs with some switches priced ``inf`` (failed): the
+    parent-table pass must reproduce the dense pass byte for byte."""
+    topology = GENERATED[name]()
+    rng = np.random.default_rng(len(name))
+    costs = np.zeros(topology.num_nodes)
+    for w in topology.switch_ids:
+        costs[w] = float(rng.uniform(0.5, 2.0))
+    dead = rng.choice(topology.switch_ids, size=max(1, topology.num_switches // 8))
+    costs[dead] = np.inf
+    for source in topology.server_ids:
+        best = single_source_unit_costs(topology, source, costs)
+        assert best.tobytes() == dense_unit_costs(topology, source, costs).tobytes()
