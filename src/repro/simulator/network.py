@@ -36,7 +36,17 @@ global index — so the restricted fill is **bit-identical** to a full
 recompute (property-tested in ``tests/simulator/test_network_incremental``).
 When the dirty closure exceeds ``incremental_threshold`` of the active
 flows, the allocator falls back to one full fill, which is transparent for
-the same reason.
+the same reason.  The closure only grows, so the walk stops at the first
+round whose running count passes the threshold instead of finishing a
+component it would then discard.
+
+Each fill assembles its CSR views without sorting resource ids
+(:func:`incidence_csr`): the component's resources are marked in a
+boolean array over the global ids and relabelled through a lookup table,
+which yields the ascending order ``np.unique`` would; the flows are then
+grouped by resource with a stable argsort whose keys are narrowed to the
+smallest dtype that holds them (NumPy radix-sorts keys of 16 bits or less;
+a stable sort's permutation is unique, so the narrowing is exact).
 
 An aggregate per-resource rate array is refreshed from the refilled
 component at each recompute (and adjusted incrementally on remove/reroute in
@@ -55,10 +65,49 @@ import numpy as np
 
 from ..topology.base import Topology
 
-__all__ = ["ActiveFlow", "FlowNetwork", "DelayModel"]
+__all__ = ["ActiveFlow", "FlowNetwork", "DelayModel", "incidence_csr"]
 
 #: Sub-this remaining bytes count as finished (absorbs rate*dt rounding).
 _COMPLETION_EPS = 1e-12
+
+
+def incidence_csr(
+    rows: np.ndarray, mark: np.ndarray, lut: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """CSR views of a padded flow↔resource incidence, without sorting ids.
+
+    Row ``i`` of ``rows`` holds flow ``i``'s global resource ids, padded with
+    the sentinel ``m = mark.size - 1``.  ``mark`` (bool, all-False on entry
+    and on return) and ``lut`` (intp) are caller-owned scratch buffers of
+    size ``m + 1``.  Returns ``(res_ids, local, counts, res_ptr,
+    res_flows)``:
+
+    * ``res_ids`` — the distinct resources, ascending (what ``np.unique``
+      returns);
+    * ``local`` — ``rows`` relabelled to positions in ``res_ids``, padding
+      to ``n_res``;
+    * ``counts``/``res_ptr`` — flows per resource and the CSR pointers;
+    * ``res_flows`` — the flows grouped by resource, ascending in a group.
+    """
+    m = mark.size - 1
+    mark[rows] = True
+    mark[m] = False
+    res_ids = np.flatnonzero(mark)
+    mark[res_ids] = False
+    n_res = res_ids.size
+    lut[res_ids] = np.arange(n_res)
+    lut[m] = n_res
+    local = lut[rows]
+    keys = local.ravel()
+    counts = np.bincount(keys, minlength=n_res + 1)[:n_res]
+    res_ptr = np.zeros(n_res + 1, dtype=np.int64)
+    np.cumsum(counts, out=res_ptr[1:])
+    # Padding keys (n_res) sort last.  A stable sort's permutation is
+    # unique, so narrowing the keys cannot change it; NumPy radix-sorts
+    # keys of 16 bits or less.
+    order = np.argsort(keys.astype(np.min_scalar_type(n_res)), kind="stable")
+    res_flows = order[: res_ptr[-1]] // rows.shape[1]
+    return res_ids, local, counts, res_ptr, res_flows
 
 
 @dataclass(frozen=True)
@@ -213,6 +262,10 @@ class FlowNetwork:
         self._agg = np.zeros(m, dtype=np.float64)
         # Active-flow count per resource, for cheap emptiness tests.
         self._res_nflows = np.zeros(m, dtype=np.int64)
+        # Scratch for ``incidence_csr``'s dense relabel, allocated once so
+        # a small component on a large fabric pays no O(m) allocation.
+        self._res_mark = np.zeros(m + 1, dtype=bool)
+        self._res_lut = np.empty(m + 1, dtype=np.intp)
         # Slot-array flow state, grown by doubling; a freelist recycles
         # vacated slots so churny workloads stay compact.
         cap0 = 64
@@ -223,7 +276,8 @@ class FlowNetwork:
         self._slot_flow: list[ActiveFlow | None] = [None] * cap0
         # Padded resource-incidence matrix: row ``s`` holds slot ``s``'s
         # resource indices padded with the sentinel ``m``, so the closure
-        # BFS runs as whole-array gathers instead of per-flow set walks.
+        # BFS and the fill's CSR assembly run as whole-array gathers
+        # instead of per-flow walks; it is as wide as the longest row.
         # ``_in_use`` gates vacated rows (their stale contents are ignored).
         self._inc_stride = 8
         self._inc = np.full((cap0, self._inc_stride), m, dtype=np.int64)
@@ -363,10 +417,11 @@ class FlowNetwork:
         k = res_arr.size
         m = len(self._caps)
         if k > self._inc_stride:
-            stride = max(k, 2 * self._inc_stride)
-            grown = np.full((len(self._inc), stride), m, dtype=np.int64)
+            # Exactly the longest row: every gather over the matrix pays
+            # for its width, and path lengths are bounded by the fabric.
+            grown = np.full((len(self._inc), k), m, dtype=np.int64)
             grown[:, : self._inc_stride] = self._inc
-            self._inc, self._inc_stride = grown, stride
+            self._inc, self._inc_stride = grown, k
         row = self._inc[slot]
         row[:k] = res_arr
         row[k:] = m
@@ -575,22 +630,25 @@ class FlowNetwork:
             return
         if self.incremental and seeds:
             slots = self._closure_slots(seeds)
-            if slots.size > self.incremental_threshold * len(self._flows):
-                slots = self._ordered()[0]
         else:
             slots = self._ordered()[0]
         self._fill(slots, seeds)
 
     def _closure_slots(self, seeds: set[int]) -> np.ndarray:
         """Slots of every flow in a sharing-graph component touching a seed
-        resource, in insertion (sequence) order.
+        resource, in insertion (sequence) order — or every active slot, in
+        the same order, once the closure covers more than
+        ``incremental_threshold`` of the active flows.
 
         Whole-array BFS over the padded incidence matrix: each round marks
         the in-use slots touching a visited resource, then marks those
         slots' resources visited.  Rounds are bounded by the sharing graph's
         diameter, and each one is a few vectorised gathers — no per-flow
-        Python loop.
+        Python loop.  The closure only grows, so the walk stops at the
+        first round whose running count passes the threshold: the fallback
+        decision is the one the finished walk would reach.
         """
+        limit = self.incremental_threshold * len(self._flows)
         m = len(self._caps)
         inc = self._inc[: self._n_slots]
         in_use = self._in_use[: self._n_slots]
@@ -601,12 +659,17 @@ class FlowNetwork:
             True
         )
         visited_slot = np.zeros(self._n_slots, dtype=bool)
+        reached = 0
         while True:
             new = visited_res[inc].any(axis=1)
             new &= in_use
             new &= ~visited_slot
-            if not new.any():
+            n_new = np.count_nonzero(new)
+            if not n_new:
                 break
+            reached += n_new
+            if reached > limit:
+                return self._ordered()[0]
             visited_slot |= new
             visited_res[inc[new]] = True
             visited_res[m] = False
@@ -624,25 +687,13 @@ class FlowNetwork:
         otherwise idle resource.
         """
         if slots.size:
-            # Row-major gather out of the padded incidence matrix ==
-            # concatenating each slot's resource row in slot order.
-            rows2d = self._inc[slots]
-            pad = rows2d != len(self._caps)
-            lengths = pad.sum(axis=1)
-            flat_global = rows2d[pad]
             # Component resources sorted ascending: preserves the global
             # lowest-index argmin tie-break of the monolithic fill.
-            res_ids, flat_local = np.unique(flat_global, return_inverse=True)
+            res_ids, local, counts, res_ptr, res_flows = incidence_csr(
+                self._inc[slots], self._res_mark, self._res_lut
+            )
             n_res = res_ids.size
             n_flows = slots.size
-            flow_col = np.repeat(np.arange(n_flows), lengths)
-            flow_ptr = np.zeros(n_flows + 1, dtype=np.int64)
-            np.cumsum(lengths, out=flow_ptr[1:])
-            counts = np.bincount(flat_local, minlength=n_res)
-            res_ptr = np.zeros(n_res + 1, dtype=np.int64)
-            np.cumsum(counts, out=res_ptr[1:])
-            res_flows = flow_col[np.argsort(flat_local, kind="stable")]
-
             remaining = self._caps[res_ids].copy()
             frozen = np.zeros(n_flows, dtype=bool)
             rates = np.zeros(n_flows, dtype=np.float64)
@@ -664,43 +715,37 @@ class FlowNetwork:
                     rates[to_freeze] = level
                     frozen[to_freeze] = True
                     unfrozen -= to_freeze.size
-                    # Gather the frozen flows' incidence segments with one
-                    # repeat/cumsum indexing pass (no per-flow concatenate).
-                    lens = lengths[to_freeze]
-                    seg_end = np.cumsum(lens)
-                    idx = np.repeat(
-                        flow_ptr[to_freeze] - (seg_end - lens), lens
-                    ) + np.arange(seg_end[-1])
-                    drained = np.bincount(flat_local[idx], minlength=n_res)
+                    # Padding lands in the spare bin ``n_res``.
+                    drained = np.bincount(
+                        local[to_freeze].ravel(), minlength=n_res + 1
+                    )[:n_res]
                     counts -= drained
-                    touched = np.flatnonzero(drained)
-                    # Charge the frozen flows against every resource they
-                    # touch.  A level of exactly 0.0 (zero-capacity or fully
-                    # drained bottleneck) is skipped outright: the
-                    # subtraction would be an exact no-op, and skipping it
-                    # guarantees degenerate resources can never accumulate
+                    # Charge the frozen flows against the resources they
+                    # drain; every other entry subtracts an exact 0.0 and
+                    # re-divides the same floats, so whole-array updates
+                    # equal updates restricted to the drained resources.  A
+                    # level of exactly 0.0 (zero-capacity or fully drained
+                    # bottleneck) is skipped outright: the subtraction
+                    # would be an exact no-op, and skipping it guarantees
+                    # degenerate resources can never accumulate
                     # signed-zero/drift artefacts however often the
                     # incremental allocator reruns the loop.
                     if level > 0.0:
-                        remaining[touched] = np.maximum(
-                            remaining[touched] - level * drained[touched],
-                            0.0,
-                        )
-                    # Only drained resources change their fair share; every
-                    # other entry would divide the same floats to the same
-                    # result, so the refresh is restricted to them.
-                    tc = counts[touched]
-                    fair[touched] = np.where(
-                        tc > 0, remaining[touched] / tc, np.inf
-                    )
+                        remaining -= level * drained
+                        np.maximum(remaining, 0.0, out=remaining)
+                    np.divide(remaining, counts, out=fair)
+                    fair[counts == 0] = np.inf
             self._rate_arr[slots] = rates
             # Aggregate refresh for the refilled component: bincount
             # accumulates sequentially in input (insertion) order, so a
             # component-local refresh writes byte-identical sums to the ones
-            # a full-network refresh would.
+            # a full-network refresh would.  Padding accumulates into the
+            # discarded bin ``n_res``.
             self._agg[res_ids] = np.bincount(
-                flat_local, weights=rates[flow_col], minlength=n_res
-            )
+                local.ravel(),
+                weights=np.repeat(rates, local.shape[1]),
+                minlength=n_res + 1,
+            )[:n_res]
         for r in seeds:
             if self._res_nflows[r] == 0:
                 self._agg[r] = 0.0

@@ -10,6 +10,14 @@ drive randomized op sequences across Tree/FatTree/VL2 fabrics against
 mirrored networks in every allocator mode, and run whole simulations under
 ``network_incremental`` True/False expecting byte-identical records.
 
+Both modes share one CSR assembly and one filling loop, so mode-vs-mode
+comparisons cannot catch an error they have in common.  The module therefore
+also keeps the pre-``incidence_csr`` fill (``np.unique`` relabel plus an
+int64 stable argsort) verbatim as an independent oracle, unit-tests
+``incidence_csr`` against that assembly (including keys too wide for NumPy's
+radix sort), and pins the closure walk's early exit at the fallback
+threshold.
+
 Also here: the degenerate-capacity regression for the ``level > 0`` drain
 guard (zero-capacity resources must pin their flows at exactly 0.0 without
 perturbing any other resource's remaining capacity).
@@ -26,6 +34,7 @@ from repro.faults import FaultKind, FaultSpec
 from repro.mapreduce import WorkloadGenerator
 from repro.schedulers import make_scheduler
 from repro.simulator import FlowNetwork, MapReduceSimulator, SimulationConfig
+from repro.simulator.network import incidence_csr
 from repro.speculation import SpeculationConfig
 from repro.topology import (
     FatTreeConfig,
@@ -185,6 +194,257 @@ class TestIncrementalEquivalence:
         assert rates.tobytes() == np.zeros_like(rates).tobytes()
 
 
+def reference_csr(flat_global, lengths):
+    """The CSR assembly ``incidence_csr`` replaced, kept verbatim: sort the
+    global ids with ``np.unique`` and group flows with an int64 stable
+    argsort."""
+    res_ids, flat_local = np.unique(flat_global, return_inverse=True)
+    n_res = res_ids.size
+    n_flows = lengths.size
+    flow_col = np.repeat(np.arange(n_flows), lengths)
+    counts = np.bincount(flat_local, minlength=n_res)
+    res_ptr = np.zeros(n_res + 1, dtype=np.int64)
+    np.cumsum(counts, out=res_ptr[1:])
+    res_flows = flow_col[np.argsort(flat_local, kind="stable")]
+    return res_ids, flat_local, flow_col, counts, res_ptr, res_flows
+
+
+def reference_fill(net: FlowNetwork) -> tuple[np.ndarray, ...]:
+    """Full progressive fill of ``net``'s active flows as the allocator ran
+    it before ``incidence_csr``: ``(slots, rates, aggregate)``.
+
+    Reads each flow's resource row (not the padded incidence matrix) and
+    shares no code with the allocator, so it checks both modes at once.
+    """
+    slots = np.array([f._slot for f in net._flows.values()], dtype=np.int64)
+    rows = [net._slot_res[slot] for slot in slots]
+    lengths = np.array([row.size for row in rows], dtype=np.int64)
+    flat_global = np.concatenate(rows)
+    res_ids, flat_local, flow_col, counts, res_ptr, res_flows = reference_csr(
+        flat_global, lengths
+    )
+    n_res = res_ids.size
+    n_flows = slots.size
+    flow_ptr = np.zeros(n_flows + 1, dtype=np.int64)
+    np.cumsum(lengths, out=flow_ptr[1:])
+    remaining = net.resource_capacities[res_ids].copy()
+    frozen = np.zeros(n_flows, dtype=bool)
+    rates = np.zeros(n_flows, dtype=np.float64)
+    unfrozen = n_flows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fair = np.where(counts > 0, remaining / counts, np.inf)
+        while unfrozen:
+            bottleneck = int(fair.argmin())
+            level = fair[bottleneck]
+            members = res_flows[res_ptr[bottleneck] : res_ptr[bottleneck + 1]]
+            to_freeze = members[~frozen[members]]
+            rates[to_freeze] = level
+            frozen[to_freeze] = True
+            unfrozen -= to_freeze.size
+            lens = lengths[to_freeze]
+            seg_end = np.cumsum(lens)
+            idx = np.repeat(
+                flow_ptr[to_freeze] - (seg_end - lens), lens
+            ) + np.arange(seg_end[-1])
+            drained = np.bincount(flat_local[idx], minlength=n_res)
+            counts -= drained
+            touched = np.flatnonzero(drained)
+            if level > 0.0:
+                remaining[touched] = np.maximum(
+                    remaining[touched] - level * drained[touched], 0.0
+                )
+            tc = counts[touched]
+            fair[touched] = np.where(tc > 0, remaining[touched] / tc, np.inf)
+    agg = np.zeros(len(net.resource_capacities), dtype=np.float64)
+    agg[res_ids] = np.bincount(
+        flat_local, weights=rates[flow_col], minlength=n_res
+    )
+    return slots, rates, agg
+
+
+class TestReferenceOracle:
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10_000), kind=st.sampled_from(TOPOLOGIES))
+    def test_churn_matches_pre_change_fill(self, seed, kind):
+        """After every churn op, every allocator mode's rates and aggregate
+        loads are byte-equal to the pre-change full fill."""
+        topology = make_topology(kind)
+        nets = [FlowNetwork(topology, incremental=False)]
+        nets += [FlowNetwork(topology, **kw) for kw in VARIANTS]
+        for _ in churn_sequence(nets, topology, seed, n_ops=40):
+            if not nets[0]._flows:
+                continue
+            for net in nets:
+                slots, rates, agg = reference_fill(net)
+                assert net._rate_arr[slots].tobytes() == rates.tobytes()
+                assert net._agg.tobytes() == agg.tobytes()
+
+
+class TestIncidenceCSR:
+    """``incidence_csr`` against the ``np.unique``/argsort assembly."""
+
+    @staticmethod
+    def check(rows: np.ndarray, m: int) -> None:
+        mark = np.zeros(m + 1, dtype=bool)
+        lut = np.empty(m + 1, dtype=np.intp)
+        res_ids, local, counts, res_ptr, res_flows = incidence_csr(
+            rows, mark, lut
+        )
+        pad = rows != m
+        ref_ids, ref_local, _, ref_counts, ref_ptr, ref_flows = reference_csr(
+            rows[pad], pad.sum(axis=1)
+        )
+        assert res_ids.tobytes() == ref_ids.tobytes()
+        assert local[pad].tobytes() == ref_local.tobytes()
+        assert (local[~pad] == res_ids.size).all()
+        assert counts.tobytes() == ref_counts.tobytes()
+        assert res_ptr.tobytes() == ref_ptr.tobytes()
+        assert res_flows.tobytes() == ref_flows.tobytes()
+        assert not mark.any()
+
+    def test_keys_wider_than_16_bits(self):
+        """> 65,535 component resources: the keys need 32 bits, so the
+        stable sort is NumPy's non-radix one."""
+        m = 70_000
+        n_flows, width = 10_000, 12
+        rng = np.random.default_rng(11)
+        lengths = rng.integers(4, width + 1, size=n_flows)
+        lengths[0] = width  # a full-width row: no padding at all
+        total = int(lengths.sum())
+        flat = np.concatenate(
+            [rng.permutation(m), rng.integers(0, m, size=total - m)]
+        )
+        rows = np.full((n_flows, width), m, dtype=np.int64)
+        rows[np.arange(width) < lengths[:, None]] = flat
+        n_res = np.unique(flat).size
+        assert n_res > 65_535
+        assert np.min_scalar_type(n_res).itemsize > 2
+        self.check(rows, m)
+
+    def test_single_resource_component(self):
+        m = 40
+        rows = np.array([[17, m, m], [17, m, m], [17, m, m]], dtype=np.int64)
+        self.check(rows, m)
+
+    def test_full_width_rows(self):
+        m = 9
+        rows = np.array([[8, 0, 3], [3, 5, 0]], dtype=np.int64)
+        self.check(rows, m)
+
+
+def chain_topology(n_servers: int, n_chains: int = 1) -> Topology:
+    """``n_chains`` disjoint switch chains; server ``i`` of a chain hangs
+    off switch ``i``.  A flow between neighbouring servers shares a switch
+    only with the flows to either side, so the closure walk reaches one
+    more flow per round."""
+    servers, switches, links = [], [], []
+    for c in range(n_chains):
+        for i in range(n_servers):
+            s, w = chain_path(c, i, n_servers, n_chains)[:2]
+            servers.append(Server(s, f"s{s}"))
+            switches.append(Switch(w, f"w{w}", Tier.ACCESS, 100.0))
+            links.append(Link(s, w, 10.0))
+            if i:
+                links.append(Link(w - 1, w, 10.0))
+    return Topology(servers, switches, links)
+
+
+def chain_path(
+    chain: int, i: int, n_servers: int, n_chains: int = 1
+) -> tuple[int, ...]:
+    """Server ``i`` -> server ``i + 1`` of ``chain`` (servers are numbered
+    before switches)."""
+    s = chain * n_servers + i
+    w = n_chains * n_servers + s
+    return (s, w, w + 1, s + 1)
+
+
+def walk_rounds(net: FlowNetwork, seeds: set[int]) -> list[int]:
+    """Cumulative flows reached after each round of the closure walk,
+    recomputed with plain Python sets."""
+    visited = set(seeds)
+    reached: set[int] = set()
+    counts: list[int] = []
+    while True:
+        new = {
+            fid for fid, f in net._flows.items()
+            if fid not in reached and visited.intersection(f.resources)
+        }
+        if not new:
+            return counts
+        reached |= new
+        for fid in new:
+            visited.update(net._flows[fid].resources)
+        counts.append(len(reached))
+
+
+class TestClosureEarlyExit:
+    N = 10  # servers per chain: 9 flows per chain
+
+    def chain_nets(self, threshold: float, n_chains: int = 1):
+        topology = chain_topology(self.N, n_chains)
+        full = FlowNetwork(topology, incremental=False)
+        inc = FlowNetwork(topology, incremental_threshold=threshold)
+        fid = 0
+        for chain in range(n_chains):
+            for i in range(self.N - 1):
+                path = chain_path(chain, i, self.N, n_chains)
+                for net in (full, inc):
+                    net.add_flow(fid, path, 5.0)
+                fid += 1
+        for net in (full, inc):
+            net.recompute_rates()
+        return full, inc
+
+    @pytest.mark.parametrize(
+        "threshold, exit_round", [(0.15, 1), (0.45, 3), (0.85, 7)]
+    )
+    def test_exit_round_is_bit_identical(self, threshold, exit_round):
+        """A fresh flow at the chain's head dirties resources shared with
+        one old flow; the walk passes the threshold in round
+        ``exit_round`` and the fallback fill matches a full recompute."""
+        full, inc = self.chain_nets(threshold)
+        for net in (full, inc):
+            net.add_flow(100, chain_path(0, 0, self.N), 3.0)
+        seeds = set(inc._seed_res)
+        rounds = walk_rounds(inc, seeds)
+        limit = threshold * len(inc._flows)
+        assert next(r for r, n in enumerate(rounds, 1) if n > limit) == (
+            exit_round
+        )
+        expected = inc._ordered()[0].copy()
+        assert inc._closure_slots(seeds).tobytes() == expected.tobytes()
+        for net in (full, inc):
+            net.recompute_rates()
+        assert_networks_bit_identical(full, inc)
+
+    def test_sub_threshold_closure_is_the_component_in_seq_order(self):
+        """Below the threshold the walk returns exactly the seeded chain's
+        flows, ordered by insertion even when recycled slots scramble the
+        slot order."""
+        full, inc = self.chain_nets(0.6, n_chains=2)
+        # Park-resume three chain-0 flows in reverse: their new slots come
+        # off the freelist, so slot order no longer follows insertion.
+        for fid in (2, 1, 0):
+            for net in (full, inc):
+                net.remove_flow(fid)
+                net.recompute_rates()
+        for fid in (2, 1, 0):
+            for net in (full, inc):
+                net.add_flow(fid, chain_path(0, fid, self.N, 2), 5.0)
+        seeds = set(inc._seed_res)
+        slots = inc._closure_slots(seeds)
+        chain0 = [f for f in inc._flows.values() if f.flow_id < self.N - 1]
+        expected = sorted(chain0, key=lambda f: inc._slot_seq[f._slot])
+        assert slots.tolist() == [f._slot for f in expected]
+        assert slots.tolist() != sorted(slots.tolist())
+        assert walk_rounds(inc, seeds)[-1] == len(chain0)
+        assert len(chain0) <= 0.6 * len(inc._flows)
+        for net in (full, inc):
+            net.recompute_rates()
+        assert_networks_bit_identical(full, inc)
+
+
 def _faults(topology):
     switch = topology.switch_ids[0]
     return (
@@ -197,11 +457,17 @@ def _faults(topology):
 
 
 def _run(seed: int, scenario: str, incremental: bool):
+    scheduler = "hit-online"
     topology = build_tree(
         TreeConfig(depth=2, fanout=4, redundancy=2, server_resources=(2.0,))
     )
     extra = {}
-    if scenario != "plain":
+    if scenario == "capacity-fattree":
+        # Capacity spreads shuffles across the core, so dirty closures
+        # cover the fabric and recomputes take the full-fill fallback.
+        scheduler = "capacity"
+        topology = build_fattree(FatTreeConfig(k=4))
+    elif scenario != "plain":
         extra = {"faults": _faults(topology), "max_task_retries": 10}
         if scenario == "faults+speculation":
             extra["speculation"] = SpeculationConfig()
@@ -212,7 +478,7 @@ def _run(seed: int, scenario: str, incremental: bool):
         **extra,
     )
     sim = MapReduceSimulator(
-        topology, make_scheduler("hit-online", seed=seed), jobs_for(seed), config
+        topology, make_scheduler(scheduler, seed=seed), jobs_for(seed), config
     )
     metrics = sim.run()
     return sim, metrics
@@ -234,11 +500,24 @@ class TestEngineByteIdentity:
     exercises it far beyond what unit churn can."""
 
     @pytest.mark.parametrize(
-        "scenario", ("plain", "faults", "faults+speculation")
+        "scenario",
+        ("plain", "faults", "faults+speculation", "capacity-fattree"),
     )
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_runs_byte_identical(self, scenario, seed):
+    def test_runs_byte_identical(self, scenario, seed, monkeypatch):
+        fallbacks = []
+        closure = FlowNetwork._closure_slots
+
+        def counting_closure(net, seeds):
+            slots = closure(net, seeds)
+            if slots.size > net.incremental_threshold * len(net._flows):
+                fallbacks.append(slots.size)
+            return slots
+
+        monkeypatch.setattr(FlowNetwork, "_closure_slots", counting_closure)
         inc_sim, inc = _run(seed, scenario, incremental=True)
+        if scenario == "capacity-fattree":
+            assert fallbacks, "no recompute reached the full-fill fallback"
         full_sim, full = _run(seed, scenario, incremental=False)
         assert _astuples(inc.jobs) == _astuples(full.jobs)
         assert _astuples(inc.tasks) == _astuples(full.tasks)
