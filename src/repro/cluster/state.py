@@ -90,6 +90,10 @@ class ClusterState:
         """Container ids hosted on a server — the paper's ``A(s_j)``."""
         return tuple(sorted(self._hosted[server_id]))
 
+    def num_hosted(self, server_id: int) -> int:
+        """``len(hosted_on(server_id))`` without sorting the ids."""
+        return len(self._hosted[server_id])
+
     def fits(self, container_id: int, server_id: int) -> bool:
         """True when the server has residual capacity for the container.
 

@@ -544,8 +544,9 @@ class PolicyController:
         Runs a forward DP over the equal-cost stage DAG; when capacities
         prune every shortest path, retries slack-extended paths up to
         ``max_slack`` extra hops before raising
-        :class:`NoFeasiblePathError`.  Returns ``(path, cost)`` where cost is
-        ``rate``-scaled per the cost model.
+        :class:`NoFeasiblePathError` (a bounded BFS over usable nodes
+        raises first when no such path can exist).  Returns
+        ``(path, cost)`` where cost is ``rate``-scaled per the cost model.
         """
         if src_server == dst_server:
             return ((src_server,), 0.0)
@@ -586,22 +587,30 @@ class PolicyController:
         if enforce_capacity or self._failed_switches or self._failed_links:
             if _OBS.enabled:
                 _OBS.tracer.count("alg1.slack_fallback")
-            broken = bool(self._failed_switches or self._failed_links)
-            for slack in range(1, self.max_slack + 1):
-                best: tuple[int, ...] | None = None
-                best_cost = _INF
-                for candidate in enumerate_paths(
-                    self.topology, src_server, dst_server, slack=slack, limit=512
-                ):
-                    if broken and not self._path_alive(candidate):
-                        continue
-                    if enforce_capacity and not self._path_feasible(candidate, rate):
-                        continue
-                    cost = self.path_cost(candidate, rate)
-                    if cost < best_cost:
-                        best, best_cost = candidate, cost
-                if best is not None:
-                    return best, best_cost
+            if self._slack_reachable(
+                src_server, dst_server, rate, enforce_capacity
+            ):
+                broken = bool(self._failed_switches or self._failed_links)
+                for slack in range(1, self.max_slack + 1):
+                    best: tuple[int, ...] | None = None
+                    best_cost = _INF
+                    for candidate in enumerate_paths(
+                        self.topology, src_server, dst_server, slack=slack,
+                        limit=512,
+                    ):
+                        if broken and not self._path_alive(candidate):
+                            continue
+                        if enforce_capacity and not self._path_feasible(
+                            candidate, rate
+                        ):
+                            continue
+                        cost = self.path_cost(candidate, rate)
+                        if cost < best_cost:
+                            best, best_cost = candidate, cost
+                    if best is not None:
+                        return best, best_cost
+            elif _OBS.enabled:
+                _OBS.tracer.count("alg1.slack_pruned")
         raise NoFeasiblePathError(
             f"no feasible path for rate {rate} between servers "
             f"{src_server} and {dst_server}"
@@ -623,6 +632,46 @@ class PolicyController:
             for n in path
             if self.topology.is_switch(n)
         )
+
+    def _slack_reachable(
+        self, src: int, dst: int, rate: float, enforce_capacity: bool
+    ) -> bool:
+        """Whether the slack fallback can find any path at all.
+
+        One frontier BFS from ``src`` for at most ``hop_distance +
+        max_slack`` hops over the nodes a fallback candidate may use:
+        servers, and switches that are alive and, under ``enforce_capacity``,
+        keep ``residual >= rate`` (the DP's pruning expression); failed links
+        are not crossed.  Every candidate that passes :meth:`_path_alive` and
+        :meth:`_path_feasible` is such a walk, so when ``dst`` stays
+        unreached the enumeration cannot succeed and is skipped.
+        """
+        topo = self.topology
+        n = topo.num_nodes
+        blocked = self._failed_mask.copy()
+        if enforce_capacity:
+            blocked |= self._switch_mask & (
+                self._switch_cap - (self._load_arr + self._base_arr) < rate
+            )
+        # One trailing closed slot absorbs the neighbour table's padding.
+        open_ = np.zeros(n + 1, dtype=bool)
+        open_[:n] = ~blocked
+        open_[src] = False
+        table = topo.neighbor_table()
+        frontier = np.array([src], dtype=np.intp)
+        for _ in range(topo.hop_distance(src, dst) + self.max_slack):
+            reach = table[frontier]
+            rows, cols = np.nonzero(open_[reach])
+            step = reach[rows, cols]
+            if self._failed_links:
+                step = step[~self._failed_link_mask[frontier[rows], step]]
+            if (step == dst).any():
+                return True
+            if not step.size:
+                return False
+            open_[step] = False
+            frontier = np.unique(step)
+        return False
 
     def _dag_best_path(
         self,

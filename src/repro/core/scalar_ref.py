@@ -107,6 +107,17 @@ def dag_best_path_scalar(
     return tuple(reversed(path))
 
 
+def _path_alive_scalar(
+    controller: "PolicyController", path: tuple[int, ...]
+) -> bool:
+    """No failed switch on the path and no failed link between its hops."""
+    if any(controller.is_switch_failed(n) for n in path):
+        return False
+    return not any(
+        controller.is_link_failed(a, b) for a, b in zip(path, path[1:])
+    )
+
+
 def optimal_path_scalar(
     controller: "PolicyController",
     src_server: int,
@@ -114,7 +125,9 @@ def optimal_path_scalar(
     rate: float,
     enforce_capacity: bool = True,
 ) -> tuple[tuple[int, ...], float]:
-    """Scalar counterpart of :meth:`PolicyController.optimal_path`."""
+    """Scalar counterpart of :meth:`PolicyController.optimal_path`: the
+    stage DP, then every slack-extended candidate up to ``max_slack`` under
+    the same conditions the shipped fallback runs."""
     if src_server == dst_server:
         return ((src_server,), 0.0)
     path = dag_best_path_scalar(
@@ -122,7 +135,10 @@ def optimal_path_scalar(
     )
     if path is not None:
         return path, controller.path_cost(path, rate)
-    if enforce_capacity:
+    # Failures alone can empty the shortest-path DAG while a longer live
+    # detour exists, so the fallback also runs uncapacitated under faults.
+    broken = bool(controller.failed_switches or controller.failed_links)
+    if enforce_capacity or broken:
         for slack in range(1, controller.max_slack + 1):
             best: tuple[int, ...] | None = None
             best_cost = _INF
@@ -130,7 +146,11 @@ def optimal_path_scalar(
                 controller.topology, src_server, dst_server, slack=slack,
                 limit=512,
             ):
-                if not controller._path_feasible(candidate, rate):
+                if broken and not _path_alive_scalar(controller, candidate):
+                    continue
+                if enforce_capacity and not controller._path_feasible(
+                    candidate, rate
+                ):
                     continue
                 cost = controller.path_cost(candidate, rate)
                 if cost < best_cost:

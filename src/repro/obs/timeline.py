@@ -156,6 +156,10 @@ class TimelineRecorder:
         self.server_ids: tuple[int, ...] = tuple(topology.server_ids)
         #: Directed-link keys in sample order (fixed on the first sample).
         self.link_keys: tuple[tuple[int, int], ...] | None = None
+        # Allocator resource indices behind ``switch_ids`` / ``link_keys``,
+        # resolved with ``link_keys`` on the first sample.
+        self._switch_res: np.ndarray | None = None
+        self._link_res: np.ndarray | None = None
         self.max_samples = max_samples
         self.spill_path = None if spill_path is None else Path(spill_path)
         #: Samples moved out of memory (spilled to disk or dropped).
@@ -204,17 +208,17 @@ class TimelineRecorder:
     def _sample(self, sim: "MapReduceSimulator", t: float) -> None:
         network = sim.network
         network.ensure_rates()
-        by_switch = network.utilisation_by_switch()
-        by_link = network.utilisation_by_link()
         if self.link_keys is None:
-            self.link_keys = tuple(sorted(by_link))
+            self.link_keys = tuple(sorted(network.utilisation_by_link()))
+            self._switch_res = network.switch_resource_ids(self.switch_ids)
+            self._link_res = network.link_resource_ids(self.link_keys)
         cluster = sim.cluster
         occupancy = np.empty(len(self.server_ids), dtype=np.float64)
         running = 0
         for i, sid in enumerate(self.server_ids):
             cap = cluster.capacity(sid).memory
             occupancy[i] = cluster.used(sid).memory / cap if cap > 0 else 0.0
-            running += len(cluster.hosted_on(sid))
+            running += cluster.num_hosted(sid)
         gauges: dict[str, float] = {}
         if sim.faults is not None:
             gauges.update(sim.faults.gauges())
@@ -222,16 +226,12 @@ class TimelineRecorder:
             gauges.update(sim.speculation.gauges())
         sample = TimelineSample(
             t=t,
-            switch_util=np.array(
-                [by_switch[w] for w in self.switch_ids], dtype=np.float64
-            ),
-            link_util=np.array(
-                [by_link[k] for k in self.link_keys], dtype=np.float64
-            ),
+            switch_util=network.utilisation(self._switch_res),
+            link_util=network.utilisation(self._link_res),
             server_occupancy=occupancy,
             running_containers=running,
             queue_depth=len(sim._queue),
-            active_flows=len(network.active_flows),
+            active_flows=network.num_active_flows,
             parked_flows=len(sim._parked),
             gauges=gauges,
         )

@@ -59,7 +59,7 @@ flows) path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -371,23 +371,39 @@ class FlowNetwork:
         """
         return self._agg.copy()
 
+    def switch_resource_ids(self, switch_ids: Iterable[int]) -> np.ndarray:
+        """Resource indices of the given switches, in the given order."""
+        return np.fromiter(
+            (self._switch_resource[w] for w in switch_ids), dtype=np.intp
+        )
+
+    def link_resource_ids(
+        self, links: Iterable[tuple[int, int]]
+    ) -> np.ndarray:
+        """Resource indices of the given *directed* links ``(u, v)``."""
+        return np.fromiter(
+            (self._link_index[key] for key in links), dtype=np.intp
+        )
+
+    def utilisation(self, resources: np.ndarray) -> np.ndarray:
+        """Allocated rate / capacity per resource index (0.0 where the
+        capacity is 0) — one gather, no recompute."""
+        caps = self._caps[resources]
+        out = np.zeros(caps.shape, dtype=np.float64)
+        np.divide(self._agg[resources], caps, out=out, where=caps > 0)
+        return out
+
     def utilisation_by_switch(self) -> dict[int, float]:
         """``{switch_id: rate / capacity}`` over every switch of the fabric."""
-        used = self._agg
-        out: dict[int, float] = {}
-        for w, res in self._switch_resource.items():
-            cap = self._caps[res]
-            out[w] = float(used[res] / cap) if cap > 0 else 0.0
-        return out
+        ids = tuple(self._switch_resource)
+        util = self.utilisation(self.switch_resource_ids(ids))
+        return dict(zip(ids, util.tolist()))
 
     def utilisation_by_link(self) -> dict[tuple[int, int], float]:
         """``{(u, v): rate / bandwidth}`` per *directed* link."""
-        used = self._agg
-        out: dict[tuple[int, int], float] = {}
-        for (u, v), res in self._link_index.items():
-            cap = self._caps[res]
-            out[(u, v)] = float(used[res] / cap) if cap > 0 else 0.0
-        return out
+        keys = tuple(self._link_index)
+        util = self.utilisation(self.link_resource_ids(keys))
+        return dict(zip(keys, util.tolist()))
 
     # ------------------------------------------------------------ slot admin
     def _alloc_slot(self) -> int:
@@ -454,6 +470,11 @@ class FlowNetwork:
         return self._order_slots, self._order_fids
 
     # ----------------------------------------------------------------- flows
+    @property
+    def num_active_flows(self) -> int:
+        """``len(active_flows)`` without building the sorted tuple."""
+        return len(self._flows)
+
     @property
     def active_flows(self) -> tuple[ActiveFlow, ...]:
         if self._active_cache is None:

@@ -18,6 +18,7 @@ import pytest
 
 from repro.cluster import Container, Resources, TaskKind, TaskRef
 from repro.core import HitConfig, HitOptimizer, TAAInstance, stable_match
+from repro.core.policy import NoFeasiblePathError
 from repro.core.preference import PairCostCache, build_preference_matrix
 from repro.core.scalar_ref import (
     ScalarPairCostCache,
@@ -203,6 +204,79 @@ def test_capacity_pruning_matches_scalar(kind):
                 continue
             vector = controller.optimal_path(a, b, rate, True)
             assert vector == scalar, (kind, a, b)
+
+
+def route_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NoFeasiblePathError:
+        return None
+
+
+@pytest.mark.parametrize("kind", TOPOLOGIES)
+@pytest.mark.parametrize("seed", range(3))
+def test_failures_plus_saturation_match_scalar(kind, seed):
+    """Failed switches and links on top of near-saturated switches: the
+    shipped fallback (BFS prune, then the slack loop) and the scalar oracle
+    agree on every pair, capacitated or not."""
+    taa = random_instance(kind, seed=40 + seed)
+    controller = taa.controller
+    topology = taa.topology
+    rng = np.random.default_rng(400 + seed)
+    for w in topology.switch_ids:
+        if rng.random() < 0.4:
+            capacity = topology.switch(w).capacity
+            controller.set_base_load(w, capacity * float(rng.uniform(0.9, 1.0)))
+    servers = taa.cluster.server_ids
+    # Saturate every switch next to the first server (the fallback on the
+    # 64-host testbed tree looks like this) and fail one next to the last.
+    for w in topology.neighbors(servers[0]):
+        if topology.is_switch(w):
+            controller.set_base_load(w, topology.switch(w).capacity)
+    controller.fail_switch(
+        next(w for w in topology.neighbors(servers[-1]) if topology.is_switch(w))
+    )
+    switches = topology.switch_ids
+    for w in rng.choice(switches, size=max(1, len(switches) // 6), replace=False):
+        controller.fail_switch(int(w))
+    links = topology.links
+    for i in rng.choice(len(links), size=max(1, len(links) // 10), replace=False):
+        controller.fail_link(links[int(i)].u, links[int(i)].v)
+    fallbacks = 0
+    for a in servers:
+        for b in servers:
+            if a == b:
+                continue
+            for enforce in (False, True):
+                for rate in (0.5, 5.0, 15.0):
+                    scalar = route_outcome(
+                        optimal_path_scalar, controller, a, b, rate, enforce
+                    )
+                    vector = route_outcome(
+                        controller.optimal_path, a, b, rate, enforce
+                    )
+                    assert vector == scalar, (kind, a, b, rate, enforce)
+                    fallbacks += dag_best_path_scalar(
+                        controller, a, b, rate, enforce
+                    ) is None
+    assert fallbacks > 0
+
+
+def test_uncapacitated_fallback_under_failures_matches_scalar():
+    """A dead switch empties BCube's shortest-path DAG while a server-relayed
+    detour survives: both implementations must take the detour even with
+    capacity off."""
+    topology = build_bcube(BCubeConfig(n=3, k=1))
+    controller = TAAInstance(topology, [], []).controller
+    # Servers 0 and 4 differ in both digits; their two shortest routes are
+    # 0-9-1-13-4 and 0-12-3-10-4.  Killing 12 and 13 cuts both but leaves
+    # each server one live switch, so a 6-hop relay survives.
+    controller.fail_switch(12)
+    controller.fail_switch(13)
+    assert dag_best_path_scalar(controller, 0, 4, 1.0, False) is None
+    scalar = optimal_path_scalar(controller, 0, 4, 1.0, False)
+    assert len(scalar[0]) == 7
+    assert controller.optimal_path(0, 4, 1.0, False) == scalar
 
 
 @pytest.mark.parametrize("kind", TOPOLOGIES)

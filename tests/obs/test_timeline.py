@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from repro.faults import FaultKind, FaultSpec
 from repro.mapreduce import WorkloadGenerator
 from repro.obs import TimelineRecorder
+from repro.obs.timeline import TimelineSample
 from repro.schedulers import make_scheduler
 from repro.simulator import MapReduceSimulator, SimulationConfig
 from repro.topology import TreeConfig, build_tree
@@ -182,3 +184,132 @@ def test_spill_without_path_drops_but_counts(tmp_path):
     assert bounded.spilled_samples > 0
     assert len(bounded.samples) < 16
     assert bounded.summary()["spilled_samples"] == bounded.spilled_samples
+
+
+# ------------------------------------- array-read samples vs dict construction
+def _reference_by_switch(network):
+    """``FlowNetwork.utilisation_by_switch`` as a per-switch loop (the
+    implementation the array accessor replaced)."""
+    used = network._agg
+    out = {}
+    for w, res in network._switch_resource.items():
+        cap = network._caps[res]
+        out[w] = float(used[res] / cap) if cap > 0 else 0.0
+    return out
+
+
+def _reference_by_link(network):
+    """``FlowNetwork.utilisation_by_link`` as a per-link loop."""
+    used = network._agg
+    out = {}
+    for (u, v), res in network._link_index.items():
+        cap = network._caps[res]
+        out[(u, v)] = float(used[res] / cap) if cap > 0 else 0.0
+    return out
+
+
+def _reference_sample(recorder, sim, t):
+    """The dict-based sample construction the recorder replaced."""
+    network = sim.network
+    by_switch = _reference_by_switch(network)
+    by_link = _reference_by_link(network)
+    link_keys = tuple(sorted(by_link))
+    cluster = sim.cluster
+    occupancy = np.empty(len(recorder.server_ids), dtype=np.float64)
+    running = 0
+    for i, sid in enumerate(recorder.server_ids):
+        cap = cluster.capacity(sid).memory
+        occupancy[i] = cluster.used(sid).memory / cap if cap > 0 else 0.0
+        running += len(cluster.hosted_on(sid))
+    gauges = {}
+    if sim.faults is not None:
+        gauges.update(sim.faults.gauges())
+    return link_keys, TimelineSample(
+        t=t,
+        switch_util=np.array(
+            [by_switch[w] for w in recorder.switch_ids], dtype=np.float64
+        ),
+        link_util=np.array([by_link[k] for k in link_keys], dtype=np.float64),
+        server_occupancy=occupancy,
+        running_containers=running,
+        queue_depth=len(sim._queue),
+        active_flows=len(network.active_flows),
+        parked_flows=len(sim._parked),
+        gauges=gauges,
+    )
+
+
+def _exact(d):
+    """Dict items with floats as hex, so ``-0.0`` and ``0.0`` differ."""
+    return [(k, float(v).hex()) for k, v in d.items()]
+
+
+def test_samples_equal_dict_construction_under_faults(monkeypatch):
+    """Every sample of a faulty run, one link degraded to factor 0.0 (the
+    zero-capacity branch), is byte-equal to the dict-based construction, and
+    the dict views equal their per-resource loops."""
+    topology = _topology()
+    access_link = next(
+        link for link in topology.links
+        if topology.is_server(link.u) or topology.is_server(link.v)
+    )
+    core = max(topology.switch_ids)
+    fabric_link = next(
+        link for link in topology.links
+        if topology.is_switch(link.u) and topology.is_switch(link.v)
+    )
+    faults = (
+        FaultSpec(0.1, FaultKind.LINK_DEGRADE, access_link.u,
+                  target2=access_link.v, factor=0.0),
+        FaultSpec(0.2, FaultKind.SWITCH_FAIL, core),
+        FaultSpec(0.3, FaultKind.LINK_FAIL, fabric_link.u, target2=fabric_link.v),
+        FaultSpec(0.7, FaultKind.LINK_RECOVER, fabric_link.u, target2=fabric_link.v),
+        FaultSpec(0.9, FaultKind.SWITCH_RECOVER, core),
+        FaultSpec(1.2, FaultKind.LINK_DEGRADE, access_link.u,
+                  target2=access_link.v, factor=1.0),
+    )
+    original = TimelineRecorder._sample
+    zero_cap_samples = []
+
+    def checked(self, sim, t):
+        original(self, sim, t)
+        got = self.samples[-1]
+        link_keys, expected = _reference_sample(self, sim, t)
+        assert self.link_keys == link_keys
+        assert got.t == expected.t
+        for name in ("switch_util", "link_util", "server_occupancy"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), (t, name)
+        for name in ("running_containers", "queue_depth", "active_flows",
+                     "parked_flows", "gauges"):
+            assert getattr(got, name) == getattr(expected, name), (t, name)
+        network = sim.network
+        assert _exact(network.utilisation_by_switch()) == _exact(
+            _reference_by_switch(network)
+        )
+        assert _exact(network.utilisation_by_link()) == _exact(
+            _reference_by_link(network)
+        )
+        if (network.resource_capacities == 0.0).any():
+            zero_cap_samples.append(t)
+
+    monkeypatch.setattr(TimelineRecorder, "_sample", checked)
+    jobs = WorkloadGenerator(
+        seed=0, input_size_range=(4.0, 8.0), map_rate=8.0, reduce_rate=8.0
+    ).make_workload(4, interarrival=0.2)
+    sim = MapReduceSimulator(
+        topology,
+        make_scheduler("hit", seed=0),
+        jobs,
+        SimulationConfig(
+            seed=0, timeline_dt=0.05, faults=faults, max_task_retries=10
+        ),
+    )
+    metrics = sim.run()
+    assert len(metrics.jobs) == len(jobs)
+    assert sim.faults.counters["faults.link_degrade"] == 1
+    assert sim.faults.counters["faults.link_restore"] == 1
+    assert len(sim.timeline.samples) > 20
+    assert zero_cap_samples, "no sample saw the zero-capacity link"
+    assert any(s.gauges.get("failed_switches") for s in sim.timeline.samples)
