@@ -544,13 +544,14 @@ def cmd_online(args: argparse.Namespace) -> int:
     from .analysis.report import canonical_json
     from .experiments.online import (
         ONLINE_TOPOLOGIES,
+        admission_config,
         build_arrival_plan,
         online_fingerprint,
+        online_record,
     )
-    from .faults.chaos import WatchdogSimulator
     from .obs import observe
-    from .simulator import SimulationConfig
-    from .workload import AdmissionConfig, generate_arrivals
+    from .simulator import MapReduceSimulator, SimulationConfig
+    from .workload import generate_arrivals
 
     plan = build_arrival_plan(
         ONLINE_TOPOLOGIES[args.topology](),
@@ -559,14 +560,11 @@ def cmd_online(args: argparse.Namespace) -> int:
         profile=args.profile,
         duration=args.duration,
     )
-    admission = AdmissionConfig(
-        policy=args.admission,
-        queue_bound=(
-            args.queue_bound if args.admission == "queue-bound" else None
-        ),
-    )
     config = SimulationConfig(
-        map_slots_per_job=16, seed=args.seed, admission=admission
+        map_slots_per_job=16,
+        seed=args.seed,
+        admission=admission_config(args.admission, args.queue_bound),
+        stall_limit=args.stall_limit,
     )
     if args.provenance:
         import dataclasses
@@ -587,14 +585,13 @@ def cmd_online(args: argparse.Namespace) -> int:
     try:
         with observe(checker=checker, tracer=tracer):
             jobs = generate_arrivals(plan, seed=args.seed)
-            simulator = WatchdogSimulator(
+            simulator = MapReduceSimulator(
                 ONLINE_TOPOLOGIES[args.topology](),
                 make_scheduler(args.scheduler, seed=args.seed),
                 jobs,
                 config,
-                stall_limit=args.stall_limit,
             )
-            metrics = simulator.run()
+            simulator.run()
     finally:
         if tracer is not None:
             tracer.close()
@@ -605,9 +602,7 @@ def cmd_online(args: argparse.Namespace) -> int:
             f"decisions: {prov.emitted} emitted -> {prov.path} "
             f"[sha256 {prov.fingerprint()[:16]}]"
         )
-    counters = {k: int(v) for k, v in simulator.admission.counters().items()}
-    counters["online.completed"] = len(metrics.jobs)
-    summary = {k: float(v) for k, v in metrics.online_summary().items()}
+    summary, counters = online_record(simulator)
     rows = [
         (
             r["tenant"], r["weight"], r["submitted"], r["admitted"],
@@ -1108,8 +1103,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--stall-limit", type=int, default=50_000,
-        help="consecutive same-timestamp events before the liveness "
-             "watchdog declares a stall (default 50000)",
+        help="consecutive same-timestamp events before the run aborts "
+             "as a sim-time stall (default 50000)",
     )
     p.add_argument(
         "--check-invariants", action="store_true",

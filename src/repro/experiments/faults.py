@@ -18,7 +18,6 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from ..faults import FaultKind, FaultSpec, generate_timeline
-from ..obs import ProvenanceConfig, decision_digest
 from ..schedulers import make_scheduler
 from ..simulator import MapReduceSimulator, MetricsCollector
 from ..speculation import SpeculationConfig
@@ -88,119 +87,42 @@ def run_chaos_cell(
 ) -> dict:
     """One chaos arm as a sweep cell: ``trials`` seeded randomized fault
     timelines through the cell's own fabric/scheduler/workload, each graded
-    against the survivability contract (see :mod:`repro.faults.chaos`).
-
-    The factories must return *fresh* objects on every call — each trial
-    (and its determinism rerun) rebuilds the whole stack, preserving the
-    sweep's cell-isolation contract.  Trial *i* samples with seed
-    ``seed + i``; every ``partition_every``-th trial drops the partition
-    guard.  Returns plain data: an aggregate summary, summed fault counters
-    and the per-trial contract verdicts.
+    by :func:`repro.faults.chaos.chaos_trial` (trial *i* uses seed
+    ``seed + i``).  The factories must return *fresh* objects on every
+    call, preserving the sweep's cell-isolation contract.  Returns plain
+    data: an aggregate summary, summed fault counters and the trial rows.
     """
-    from ..faults.chaos import (
-        _ChaosSimulator,
-        graded_run,
-        sample_chaos_timeline,
-    )
+    from ..faults.chaos import chaos_summary, chaos_trial, partition_trial
 
-    trial_rows: list[dict] = []
+    rows: list[dict] = []
     totals: dict[str, float] = {}
     for i in range(trials):
-        trial_seed = seed + i
-        allow_partition = (
-            partition_every > 0 and i % partition_every == partition_every - 1
-        )
-        timeline = sample_chaos_timeline(
-            topology_factory(),
-            seed=trial_seed,
+        row, counters = chaos_trial(
+            i,
+            topology_factory,
+            scheduler_factory,
+            jobs_factory,
+            dataclasses.replace(
+                config,
+                max_task_retries=max_task_retries,
+                stall_limit=stall_limit,
+            ),
+            seed=seed + i,
             horizon=horizon,
-            allow_partition=allow_partition,
+            allow_partition=partition_trial(i, partition_every),
+            rerun=rerun,
         )
-
-        def make_build(
-            provenance=None, sink=None, timeline=timeline,
-            trial_seed=trial_seed,
-        ):
-            def build():
-                jobs = jobs_factory()
-                sim = _ChaosSimulator(
-                    topology_factory(),
-                    scheduler_factory(),
-                    jobs,
-                    dataclasses.replace(
-                        config,
-                        seed=trial_seed,
-                        faults=tuple(timeline),
-                        max_task_retries=max_task_retries,
-                        provenance=provenance,
-                    ),
-                    stall_limit=stall_limit,
-                )
-                if sink is not None:
-                    sink.append(sim)
-                return sim, len(jobs)
-
-            return build
-
-        build = make_build()
-        status, reason, fingerprint, counters, violations = graded_run(
-            build, max_task_retries=max_task_retries
-        )
-        violations = list(violations)
-        if rerun:
-            again = graded_run(build, max_task_retries=max_task_retries)
-            if (again[0], again[1], again[2]) != (status, reason, fingerprint):
-                violations.append(
-                    f"nondeterministic rerun: {fingerprint[:12]} vs "
-                    f"{again[2][:12]}"
-                )
+        rows.append(row)
         for key, value in counters.items():
             totals[key] = totals.get(key, 0) + value
-        row = {
-            "trial": i,
-            "seed": trial_seed,
-            "allow_partition": allow_partition,
-            "num_specs": len(timeline),
-            "status": status,
-            "reason": reason,
-            "fingerprint": fingerprint,
-            "violations": violations,
-        }
-        if status == "failed" or violations:
-            # Ship the trial's own explanation: a provenance-enabled
-            # rerun (faithful by byte-identity) yields the decision
-            # fingerprint and reason-code tallies.
-            sims: list = []
-            graded_run(
-                make_build(ProvenanceConfig(ring_size=1024), sims),
-                max_task_retries=max_task_retries,
-            )
-            if sims:
-                digest = decision_digest(sims[-1].provenance)
-                if digest:
-                    row["provenance"] = digest
-        trial_rows.append(row)
     return {
-        "summary": {
-            "trials": float(trials),
-            "ok": float(sum(1 for t in trial_rows if t["status"] == "ok")),
-            "failed_accounted": float(
-                sum(
-                    1
-                    for t in trial_rows
-                    if t["status"] == "failed" and not t["violations"]
-                )
-            ),
-            "violations": float(
-                sum(len(t["violations"]) for t in trial_rows)
-            ),
-        },
+        "summary": {k: float(v) for k, v in chaos_summary(rows).items()},
         # Counters are integral except the dwell gauge; keep its precision.
         "counters": {
             k: int(v) if float(v).is_integer() else round(float(v), 9)
             for k, v in sorted(totals.items())
         },
-        "trials": trial_rows,
+        "trials": rows,
     }
 
 

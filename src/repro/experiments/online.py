@@ -14,13 +14,15 @@ cell is machine-checked against the **overload contract**:
   admission layer's submitted count, and every rejection carries a record;
 * **bounded queues** — under the ``queue-bound`` policy no tenant queue
   ever exceeds its bound (peak, not just final, length);
-* **liveness** — a watchdog (shared with the chaos harness) flags sim-time
-  stalls independently of the engine's ``max_events`` guard;
+* **liveness** — the engine's ``stall_limit`` flags sim-time stalls
+  independently of its ``max_events`` guard;
 * **determinism** — rerunning a cell from its seed is byte-identical
   (same fingerprint over summary + counters + event count).
 
 Anything outside those buckets is a **contract violation** and is reported
-as such; the harness never swallows one.  Per cell the report carries the
+as such; the harness never swallows one.  The grading, rerun and provenance
+loop is :mod:`repro.experiments.contract`'s; this module holds the clauses
+and the cell generators.  Per cell the report carries the
 overload metrics the evaluation reads: mean/p99 job completion time,
 mean/p99 slowdown, mean wait, Jain fairness across tenants, and the
 rejection breakdown.
@@ -32,21 +34,14 @@ experiments package ``__init__`` — it pulls in the whole engine.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..analysis.report import canonical_json
-from ..faults.chaos import CHAOS_TOPOLOGIES, WatchdogSimulator
-from ..mapreduce.job import JobSpec
-from ..obs import (
-    InvariantChecker,
-    ProvenanceConfig,
-    decision_digest,
-    observe,
-)
+from ..faults.chaos import CHAOS_TOPOLOGIES
 from ..schedulers import make_scheduler
-from ..simulator import MapReduceSimulator, SimulationConfig
+from ..simulator import MapReduceSimulator, RunOutcome, SimulationConfig
 from ..topology.base import Topology
 from ..workload import (
     ADMISSION_POLICIES,
@@ -57,15 +52,24 @@ from ..workload import (
     estimate_saturation_rate,
     generate_arrivals,
 )
+from .contract import (
+    Contract,
+    fingerprint,
+    plain_data,
+    run_contract,
+    simulator_build,
+)
 
 __all__ = [
     "ONLINE_TOPOLOGIES",
     "OnlineCellResult",
     "OnlineConfig",
     "OnlineReport",
+    "OVERLOAD",
+    "admission_config",
     "build_arrival_plan",
-    "graded_online_run",
     "online_fingerprint",
+    "online_record",
     "overload_campaign",
     "run_online_cell",
 ]
@@ -94,8 +98,7 @@ class OnlineConfig:
     duration: float = 3.0
     min_size: float = 2.0
     max_size: float = 6.0
-    #: Consecutive same-timestamp events tolerated before the liveness
-    #: watchdog declares a sim-time stall.
+    #: ``SimulationConfig.stall_limit`` of every cell.
     stall_limit: int = 50_000
     #: Re-run every cell from its seed and compare fingerprints.
     rerun: bool = True
@@ -119,21 +122,7 @@ class OnlineConfig:
             raise ValueError(f"unknown admission policy {self.policy!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "multipliers": list(self.multipliers),
-            "seed": self.seed,
-            "schedulers": list(self.schedulers),
-            "topologies": list(self.topologies),
-            "tenants": self.tenants,
-            "profile": self.profile,
-            "policy": self.policy,
-            "queue_bound": self.queue_bound,
-            "duration": self.duration,
-            "min_size": self.min_size,
-            "max_size": self.max_size,
-            "stall_limit": self.stall_limit,
-            "rerun": self.rerun,
-        }
+        return plain_data(self)
 
 
 @dataclass(frozen=True)
@@ -146,37 +135,18 @@ class OnlineCellResult:
     topology: str
     multiplier: float
     submitted: int
-    #: ``"ok"`` or ``"failed"`` (an escape classified by the grader).
+    #: The rest is the cell's contract verdict (see
+    #: :class:`repro.experiments.contract.Graded`).
     status: str
     reason: str
-    #: sha256 over the canonical JSON of (summary, counters, events).
     fingerprint: str
     summary: dict[str, float] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=dict)
-    #: Overload-contract violations — empty on a passing cell.
     violations: tuple[str, ...] = ()
-    #: Decision-provenance digest from a provenance-enabled rerun;
-    #: attached only to failed/violating cells.
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        body = {
-            "cell": self.cell,
-            "seed": self.seed,
-            "scheduler": self.scheduler,
-            "topology": self.topology,
-            "multiplier": self.multiplier,
-            "submitted": self.submitted,
-            "status": self.status,
-            "reason": self.reason,
-            "fingerprint": self.fingerprint,
-            "summary": {k: self.summary[k] for k in sorted(self.summary)},
-            "counters": dict(sorted(self.counters.items())),
-            "violations": list(self.violations),
-        }
-        if self.provenance:
-            body["provenance"] = self.provenance
-        return body
+        return plain_data(self)
 
 
 @dataclass
@@ -269,22 +239,19 @@ def build_arrival_plan(
     )
 
 
-def _admission_config(policy: str, queue_bound: int) -> AdmissionConfig:
+def admission_config(policy: str, queue_bound: int) -> AdmissionConfig:
+    """Admission config; ``queue_bound`` applies under ``queue-bound`` only."""
     return AdmissionConfig(
         policy=policy,
         queue_bound=queue_bound if policy == "queue-bound" else None,
     )
 
 
-def _fingerprint(body: dict) -> str:
-    return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
-
-
 def online_fingerprint(
     summary: dict[str, float], counters: dict[str, int], events: int
 ) -> str:
     """Canonical fingerprint of one online run (the rerun-compare token)."""
-    return _fingerprint(
+    return fingerprint(
         {
             "summary": {k: float(v) for k, v in sorted(summary.items())},
             "counters": {k: int(v) for k, v in sorted(counters.items())},
@@ -293,75 +260,75 @@ def online_fingerprint(
     )
 
 
-# ------------------------------------------------------------------- grading
-def graded_online_run(
-    build: Callable[[], tuple[MapReduceSimulator, list[JobSpec]]],
-) -> tuple[str, str, str, dict[str, float], dict[str, int], list[str]]:
-    """One contract-graded engine pass over an open-loop workload.
-
-    ``build`` returns a fresh ``(simulator, jobs)`` — everything must be
-    rebuilt inside it (calling ``graded_online_run(build)`` twice is the
-    rerun-determinism probe).  The simulator must carry an admission plane.
-    Returns ``(status, reason, fingerprint, summary, counters, violations)``.
-    """
-    sim, jobs = build()
+def online_record(
+    sim: MapReduceSimulator, finished: bool = True
+) -> tuple[dict[str, float], dict[str, int]]:
+    """Key-sorted ``(summary, counters)`` of an online run as the overload
+    contract reports and fingerprints them; a finished run's counters gain
+    ``online.completed``."""
     if sim.admission is None:
-        raise ValueError("graded_online_run needs an admission-plane config")
-    violations: list[str] = []
-    try:
-        with observe(checker=InvariantChecker(mode="raise")):
-            metrics = sim.run()
-    except Exception as exc:  # noqa: BLE001 — every escape is classified
-        reason = f"{type(exc).__name__}: {exc}"
-        if "sim-time stall" in reason:
-            violations.append(f"liveness: {reason}")
-        else:
-            violations.append(f"unaccounted failure: {reason}")
-        counters = {
-            k: int(v) for k, v in sim.admission.counters().items()
-        }
-        return (
-            "failed",
-            reason,
-            _fingerprint({"error": reason, "counters": counters}),
-            {},
-            counters,
-            violations,
-        )
+        raise ValueError("the overload contract needs an admission plane")
     counters = {k: int(v) for k, v in sim.admission.counters().items()}
-    completed = len(metrics.jobs)
-    counters["online.completed"] = completed
-    submitted = counters.get("admission.submitted", 0)
-    rejected = counters.get("admission.rejected", 0)
-    queued = counters.get("admission.queued", 0)
-    if submitted != len(jobs):
-        violations.append(
-            f"arrival loss: {len(jobs)} jobs generated, "
-            f"{submitted} reached admission"
-        )
-    if completed + rejected + queued != submitted:
-        violations.append(
-            "accounting hole: "
-            f"completed({completed}) + rejected({rejected}) + "
-            f"queued({queued}) != submitted({submitted})"
-        )
-    if len(metrics.rejections) != rejected:
-        violations.append(
-            f"silent rejection: {rejected} counted, "
-            f"{len(metrics.rejections)} carry records"
-        )
-    admission_cfg = sim.admission.config
-    if admission_cfg.policy == "queue-bound":
-        bound = admission_cfg.queue_bound
-        peak = sim.admission.max_queue_len()
-        if bound is not None and peak > bound:
-            violations.append(
-                f"unbounded queue: peak tenant queue length {peak} "
-                f"exceeds bound {bound}"
-            )
-    summary = {k: float(v) for k, v in metrics.online_summary().items()}
-    fingerprint = online_fingerprint(summary, counters, sim.events_processed)
-    return "ok", "", fingerprint, summary, counters, violations
+    if not finished:
+        return {}, dict(sorted(counters.items()))
+    counters["online.completed"] = len(sim.metrics.jobs)
+    summary = sim.metrics.online_summary()
+    return (
+        {k: float(v) for k, v in sorted(summary.items())},
+        dict(sorted(counters.items())),
+    )
+
+
+# ------------------------------------------------------------------- grading
+def _arrival_loss(o: RunOutcome) -> str | None:
+    submitted = o.admission.get("admission.submitted", 0)
+    if submitted == o.jobs:
+        return None
+    return (
+        f"arrival loss: {o.jobs} jobs generated, "
+        f"{submitted} reached admission"
+    )
+
+
+def _accounting_hole(o: RunOutcome) -> str | None:
+    submitted = o.admission.get("admission.submitted", 0)
+    rejected = o.admission.get("admission.rejected", 0)
+    queued = o.admission.get("admission.queued", 0)
+    if o.completed + rejected + queued == submitted:
+        return None
+    return (
+        "accounting hole: "
+        f"completed({o.completed}) + rejected({rejected}) + "
+        f"queued({queued}) != submitted({submitted})"
+    )
+
+
+def _silent_rejection(o: RunOutcome) -> str | None:
+    rejected = o.admission.get("admission.rejected", 0)
+    if o.rejection_records == rejected:
+        return None
+    return (
+        f"silent rejection: {rejected} counted, "
+        f"{o.rejection_records} carry records"
+    )
+
+
+def _unbounded_queue(o: RunOutcome) -> str | None:
+    if o.queue_bound is None or o.peak_queue <= o.queue_bound:
+        return None
+    return (
+        f"unbounded queue: peak tenant queue length {o.peak_queue} "
+        f"exceeds bound {o.queue_bound}"
+    )
+
+
+#: The overload contract's clauses over a finished run.
+OVERLOAD = Contract(
+    clauses=(
+        _arrival_loss, _accounting_hole, _silent_rejection, _unbounded_queue
+    ),
+    record=online_record,
+)
 
 
 # ---------------------------------------------------------------- cell runner
@@ -401,60 +368,18 @@ def run_online_cell(
         memory_per_container=config.container_demand.memory,
     )
 
-    def make_build(
-        provenance: ProvenanceConfig | None = None,
-        sink: list | None = None,
-    ) -> Callable[[], tuple[MapReduceSimulator, list[JobSpec]]]:
-        def build() -> tuple[MapReduceSimulator, list[JobSpec]]:
-            jobs = generate_arrivals(plan, seed=seed)
-            sim = WatchdogSimulator(
-                topology_factory(),
-                scheduler_factory(),
-                jobs,
-                dataclasses.replace(
-                    config,
-                    seed=seed,
-                    admission=_admission_config(policy, queue_bound),
-                    provenance=provenance,
-                ),
-                stall_limit=stall_limit,
-            )
-            if sink is not None:
-                sink.append(sim)
-            return sim, jobs
-
-        return build
-
-    build = make_build()
-    status, reason, fingerprint, summary, counters, violations = (
-        graded_online_run(build)
+    build = simulator_build(
+        topology_factory,
+        scheduler_factory,
+        lambda: generate_arrivals(plan, seed=seed),
+        dataclasses.replace(
+            config,
+            seed=seed,
+            admission=admission_config(policy, queue_bound),
+            stall_limit=stall_limit,
+        ),
     )
-    violations = list(violations)
-    if rerun:
-        again = graded_online_run(build)
-        if (again[0], again[1], again[2]) != (status, reason, fingerprint):
-            violations.append(
-                f"nondeterministic rerun: {fingerprint[:12]} vs {again[2][:12]}"
-            )
-    result = {
-        "summary": {k: float(v) for k, v in sorted(summary.items())},
-        "counters": dict(sorted(counters.items())),
-        "status": status,
-        "reason": reason,
-        "fingerprint": fingerprint,
-        "violations": violations,
-    }
-    if status == "failed" or violations:
-        # A failed/violating cell ships its own explanation: one more
-        # pass with the decision-audit plane on (faithful by the
-        # byte-identity contract) yields the decision fingerprint.
-        sims: list[MapReduceSimulator] = []
-        graded_online_run(make_build(ProvenanceConfig(ring_size=1024), sims))
-        if sims:
-            digest = decision_digest(sims[-1].provenance)
-            if digest:
-                result["provenance"] = digest
-    return result
+    return plain_data(run_contract(build, OVERLOAD, rerun=rerun))
 
 
 # ------------------------------------------------------------------ campaign
@@ -468,47 +393,39 @@ def overload_campaign(config: OnlineConfig | None = None) -> OnlineReport:
     config = config or OnlineConfig()
     report = OnlineReport(config=config)
     sim_config = SimulationConfig(map_slots_per_job=16)
-    index = 0
-    for multiplier in config.multipliers:
-        for topology in config.topologies:
-            for scheduler in config.schedulers:
-                seed = config.seed + index
-                result = run_online_cell(
-                    ONLINE_TOPOLOGIES[topology],
-                    lambda scheduler=scheduler, seed=seed: make_scheduler(
-                        scheduler, seed=seed
-                    ),
-                    sim_config,
-                    seed=seed,
-                    multiplier=multiplier,
-                    tenants=config.tenants,
-                    profile=config.profile,
-                    policy=config.policy,
-                    queue_bound=config.queue_bound,
-                    duration=config.duration,
-                    min_size=config.min_size,
-                    max_size=config.max_size,
-                    stall_limit=config.stall_limit,
-                    rerun=config.rerun,
-                )
-                report.cells.append(
-                    OnlineCellResult(
-                        cell=index,
-                        seed=seed,
-                        scheduler=scheduler,
-                        topology=topology,
-                        multiplier=multiplier,
-                        submitted=result["counters"].get(
-                            "admission.submitted", 0
-                        ),
-                        status=result["status"],
-                        reason=result["reason"],
-                        fingerprint=result["fingerprint"],
-                        summary=result["summary"],
-                        counters=result["counters"],
-                        violations=tuple(result["violations"]),
-                        provenance=result.get("provenance", {}),
-                    )
-                )
-                index += 1
+    grid = itertools.product(
+        config.multipliers, config.topologies, config.schedulers
+    )
+    for index, (multiplier, topology, scheduler) in enumerate(grid):
+        seed = config.seed + index
+        result = run_online_cell(
+            ONLINE_TOPOLOGIES[topology],
+            lambda scheduler=scheduler, seed=seed: make_scheduler(
+                scheduler, seed=seed
+            ),
+            sim_config,
+            seed=seed,
+            multiplier=multiplier,
+            tenants=config.tenants,
+            profile=config.profile,
+            policy=config.policy,
+            queue_bound=config.queue_bound,
+            duration=config.duration,
+            min_size=config.min_size,
+            max_size=config.max_size,
+            stall_limit=config.stall_limit,
+            rerun=config.rerun,
+        )
+        result["violations"] = tuple(result["violations"])
+        report.cells.append(
+            OnlineCellResult(
+                cell=index,
+                seed=seed,
+                scheduler=scheduler,
+                topology=topology,
+                multiplier=multiplier,
+                submitted=result["counters"].get("admission.submitted", 0),
+                **result,
+            )
+        )
     return report

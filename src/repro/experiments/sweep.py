@@ -399,41 +399,25 @@ def run_cell(cell: CellConfig) -> dict[str, Any]:
         seed=cell.seed,
     )
     if cell.arm == "chaos":
-        c = cell.chaos
-        assert c is not None
+        assert cell.chaos is not None
         return run_chaos_cell(
             lambda: build_cell_topology(cell.topology),
             lambda: make_scheduler(cell.scheduler, seed=cell.seed),
             lambda: build_cell_workload(cell),
             config,
             seed=cell.seed,
-            trials=int(c["trials"]),
-            horizon=float(c["horizon"]),
-            partition_every=int(c["partition_every"]),
-            max_task_retries=int(c["max_task_retries"]),
-            stall_limit=int(c["stall_limit"]),
-            rerun=bool(int(c["rerun"])),
+            **cell.chaos,
         )
     if cell.arm == "online":
         from .online import run_online_cell
 
-        o = cell.online
-        assert o is not None
+        assert cell.online is not None
         return run_online_cell(
             lambda: build_cell_topology(cell.topology),
             lambda: make_scheduler(cell.scheduler, seed=cell.seed),
             config,
             seed=cell.seed,
-            multiplier=float(o["multiplier"]),
-            tenants=int(o["tenants"]),
-            profile=str(o["profile"]),
-            policy=str(o["policy"]),
-            queue_bound=int(o["queue_bound"]),
-            duration=float(o["duration"]),
-            min_size=float(o["min_size"]),
-            max_size=float(o["max_size"]),
-            stall_limit=int(o["stall_limit"]),
-            rerun=bool(int(o["rerun"])),
+            **cell.online,
         )
     scheduler = make_scheduler(cell.scheduler, seed=cell.seed)
     if cell.arm == "telemetry":

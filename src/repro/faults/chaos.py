@@ -7,8 +7,8 @@ schedulers × topologies, and machine-checks the **survivability contract**
 on every trial:
 
 * **no silent loss** — every admitted job either completes or the run is
-  accounted failed with an explicit reason (``exceeded max_task_retries``);
-  a completed run must report exactly one record per submitted job;
+  accounted failed by the engine's :class:`RetryBudgetExceeded`; a
+  completed run must report exactly one record per submitted job;
 * **retry budgets respected** — no task consumes more failure re-executions
   than ``max_task_retries``;
 * **routing safety** — no flow ever traverses a failed switch or a dead
@@ -18,12 +18,15 @@ on every trial:
 * **no parked leaks** — a completed run leaves no flow parked forever;
 * **determinism** — rerunning a trial from its seed is byte-identical
   (same fingerprint, or the same failure reason);
-* **liveness** — a watchdog flags sim-time stalls (unbounded event churn at
-  one timestamp) independently of the engine's global ``max_events`` guard.
+* **liveness** — the engine's ``stall_limit`` flags sim-time stalls
+  (unbounded event churn at one timestamp) independently of its global
+  ``max_events`` guard.
 
 Anything outside those buckets — an invariant error, an unfinished job at
 queue exhaustion, a livelock, a stall — is a **contract violation** and is
-reported as such; the harness never swallows one.
+reported as such; the harness never swallows one.  The grading, rerun and
+provenance loop is :mod:`repro.experiments.contract`'s; this module holds
+the clauses and the trial generator.
 
 This module deliberately is *not* imported from :mod:`repro.faults`'s
 package ``__init__`` — it pulls in the whole engine, which the spec/injector
@@ -32,22 +35,24 @@ layers must not depend on.
 
 from __future__ import annotations
 
-import hashlib
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..analysis.report import canonical_json
-from ..mapreduce import WorkloadGenerator
-from ..obs import (
-    InvariantChecker,
-    ProvenanceConfig,
-    decision_digest,
-    observe,
+from ..experiments.contract import (
+    Contract,
+    plain_data,
+    run_contract,
+    simulator_build,
 )
+from ..mapreduce import WorkloadGenerator
+from ..mapreduce.job import JobSpec
 from ..schedulers import make_scheduler
-from ..simulator import MapReduceSimulator, SimulationConfig
+from ..schedulers.base import Scheduler
+from ..simulator import MapReduceSimulator, RunOutcome, SimulationConfig
 from ..topology.base import Topology
 from ..topology.tree import TreeConfig, build_tree
 from .spec import FaultSpec, generate_timeline
@@ -57,8 +62,10 @@ __all__ = [
     "ChaosConfig",
     "ChaosReport",
     "ChaosTrialResult",
-    "WatchdogSimulator",
-    "graded_run",
+    "SURVIVABILITY",
+    "chaos_summary",
+    "chaos_trial",
+    "partition_trial",
     "run_chaos",
     "run_chaos_trial",
     "sample_chaos_timeline",
@@ -88,8 +95,7 @@ class ChaosConfig:
     #: Every ``partition_every``-th trial samples with ``allow_partition=True``
     #: (0 disables partition trials entirely).
     partition_every: int = 4
-    #: Consecutive same-timestamp events tolerated before the liveness
-    #: watchdog declares a sim-time stall.
+    #: ``SimulationConfig.stall_limit`` of every trial.
     stall_limit: int = 20_000
     #: Re-run every trial from its seed and compare fingerprints.
     rerun: bool = True
@@ -107,18 +113,7 @@ class ChaosConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "schedulers": list(self.schedulers),
-            "topologies": list(self.topologies),
-            "jobs_per_trial": self.jobs_per_trial,
-            "horizon": self.horizon,
-            "max_task_retries": self.max_task_retries,
-            "partition_every": self.partition_every,
-            "stall_limit": self.stall_limit,
-            "rerun": self.rerun,
-        }
+        return plain_data(self)
 
 
 @dataclass(frozen=True)
@@ -131,38 +126,31 @@ class ChaosTrialResult:
     topology: str
     allow_partition: bool
     num_specs: int
-    #: ``"ok"`` (all jobs completed) or ``"failed"`` (accounted failure —
-    #: the run aborted with an explicit retry-budget reason).
+    #: The rest is the trial's contract verdict (see
+    #: :class:`repro.experiments.contract.Graded`); a failed trial is
+    #: accounted only when ``violations`` is empty.
     status: str
-    #: The accounted-failure reason; empty for ``"ok"`` runs.
     reason: str
-    #: sha256 over the canonical JSON of (summary, counters, events).
     fingerprint: str
     counters: dict[str, float] = field(default_factory=dict)
-    #: Survivability-contract violations — empty on a passing trial.
     violations: tuple[str, ...] = ()
-    #: Decision-provenance digest (fingerprint + kind:reason tallies) from
-    #: a provenance-enabled rerun; attached only to failed/violating
-    #: trials so they ship their own explanation.
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        body = {
-            "trial": self.trial,
-            "seed": self.seed,
-            "scheduler": self.scheduler,
-            "topology": self.topology,
-            "allow_partition": self.allow_partition,
-            "num_specs": self.num_specs,
-            "status": self.status,
-            "reason": self.reason,
-            "fingerprint": self.fingerprint,
-            "counters": dict(sorted(self.counters.items())),
-            "violations": list(self.violations),
-        }
-        if self.provenance:
-            body["provenance"] = self.provenance
-        return body
+        return plain_data(self)
+
+
+def chaos_summary(rows: Sequence[dict]) -> dict:
+    """Tallies over plain-data trial rows; an accounted failure is one that
+    failed with no violations."""
+    return {
+        "trials": len(rows),
+        "ok": sum(1 for t in rows if t["status"] == "ok"),
+        "failed_accounted": sum(
+            1 for t in rows if t["status"] == "failed" and not t["violations"]
+        ),
+        "violations": sum(len(t["violations"]) for t in rows),
+    }
 
 
 @dataclass
@@ -177,14 +165,7 @@ class ChaosReport:
         return [t for t in self.trials if t.violations]
 
     def summary(self) -> dict:
-        return {
-            "trials": len(self.trials),
-            "ok": sum(1 for t in self.trials if t.status == "ok"),
-            "failed_accounted": sum(
-                1 for t in self.trials if t.status == "failed"
-            ),
-            "violations": sum(len(t.violations) for t in self.trials),
-        }
+        return chaos_summary([t.to_dict() for t in self.trials])
 
     def to_dict(self) -> dict:
         return {
@@ -197,42 +178,6 @@ class ChaosReport:
         """Canonical JSON body — byte-identical across reruns of the same
         campaign (the contract the CI smoke compares with ``cmp``)."""
         return canonical_json(self.to_dict())
-
-
-class WatchdogSimulator(MapReduceSimulator):
-    """Engine with a liveness watchdog layered on the dispatch loop.
-
-    The engine's ``max_events`` cap catches global runaway; the watchdog
-    catches the sharper failure mode where simulated time stops advancing —
-    e.g. a retry loop rescheduling at zero delay.  Read-only: a watchdog
-    that never fires leaves the run byte-identical to the plain engine.
-    Shared by the chaos harness and the overload campaigns
-    (:mod:`repro.experiments.online`), whose liveness legs are the same
-    contract.
-    """
-
-    def __init__(self, *args, stall_limit: int = 20_000, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._stall_limit = int(stall_limit)
-        self._stall_time: float | None = None
-        self._stall_count = 0
-
-    def _dispatch(self, event) -> None:
-        if event.time == self._stall_time:
-            self._stall_count += 1
-            if self._stall_count > self._stall_limit:
-                raise RuntimeError(
-                    f"chaos watchdog: {self._stall_count} consecutive events "
-                    f"at sim time {event.time!r} — sim-time stall"
-                )
-        else:
-            self._stall_time = event.time
-            self._stall_count = 1
-        super()._dispatch(event)
-
-
-#: Backwards-compatible private alias (pre-rename importers).
-_ChaosSimulator = WatchdogSimulator
 
 
 def sample_chaos_timeline(
@@ -282,72 +227,85 @@ def sample_chaos_timeline(
     )
 
 
-def _fingerprint(body: dict) -> str:
-    return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
+def _silent_loss(o: RunOutcome) -> str | None:
+    if o.completed == o.jobs:
+        return None
+    return f"silent loss: {o.jobs} jobs submitted, {o.completed} accounted"
 
 
-def graded_run(
-    build: Callable[[], tuple[MapReduceSimulator, int]],
-    *,
-    max_task_retries: int,
-) -> tuple[str, str, str, dict, list[str]]:
-    """One contract-graded engine pass.
-
-    ``build`` returns a fresh ``(simulator, num_jobs)`` — everything must be
-    rebuilt inside it (calling ``graded_run(build)`` twice is the
-    rerun-determinism probe).  Returns ``(status, reason, fingerprint,
-    counters, violations)``.
-    """
-    sim, num_jobs = build()
-    violations: list[str] = []
-    try:
-        with observe(checker=InvariantChecker(mode="raise")):
-            metrics = sim.run()
-    except Exception as exc:  # noqa: BLE001 — every escape is classified
-        reason = f"{type(exc).__name__}: {exc}"
-        if isinstance(exc, RuntimeError) and "exceeded max_task_retries" in str(
-            exc
-        ):
-            # Accounted failure: the retry budget was spent and the engine
-            # said so.  The job did not finish, but nothing was lost
-            # silently — the contract allows this outcome.
-            status = "failed"
-        else:
-            status = "failed"
-            violations.append(f"unaccounted failure: {reason}")
-        counters = dict(sim.faults.summary()) if sim.faults is not None else {}
-        return (
-            status,
-            reason,
-            _fingerprint({"error": reason, "counters": counters}),
-            counters,
-            violations,
-        )
-    counters = dict(sim.faults.summary()) if sim.faults is not None else {}
-    if len(metrics.jobs) != num_jobs:
-        violations.append(
-            f"silent loss: {num_jobs} jobs submitted, "
-            f"{len(metrics.jobs)} accounted"
-        )
-    retries = getattr(sim, "_retries", {})
-    worst = max(retries.values(), default=0)
-    if worst > max_task_retries:
-        violations.append(
-            f"retry budget exceeded: a task consumed {worst} retries "
-            f"(budget {max_task_retries})"
-        )
-    if getattr(sim, "_parked", None):
-        violations.append(
-            f"parked leak: {len(sim._parked)} flows still parked at end"
-        )
-    fingerprint = _fingerprint(
-        {
-            "summary": metrics.summary(),
-            "counters": counters,
-            "events": sim.events_processed,
-        }
+def _retry_budget(o: RunOutcome) -> str | None:
+    if o.worst_retries <= o.retry_budget:
+        return None
+    return (
+        f"retry budget exceeded: a task consumed {o.worst_retries} retries "
+        f"(budget {o.retry_budget})"
     )
-    return "ok", "", fingerprint, counters, violations
+
+
+def _parked_leak(o: RunOutcome) -> str | None:
+    if not o.parked_flows:
+        return None
+    return f"parked leak: {o.parked_flows} flows still parked at end"
+
+
+def _fault_record(
+    sim: MapReduceSimulator, finished: bool
+) -> tuple[dict, dict]:
+    counters = dict(sim.faults.summary()) if sim.faults is not None else {}
+    return (sim.metrics.summary() if finished else {}), counters
+
+
+#: The survivability contract's clauses over a finished run.
+SURVIVABILITY = Contract(
+    clauses=(_silent_loss, _retry_budget, _parked_leak),
+    record=_fault_record,
+)
+
+
+def partition_trial(index: int, every: int) -> bool:
+    """Whether trial ``index`` drops the partition guard (every
+    ``every``-th trial does; 0 disables partition trials)."""
+    return every > 0 and index % every == every - 1
+
+
+def chaos_trial(
+    trial: int,
+    topology_factory: Callable[[], Topology],
+    scheduler_factory: Callable[[], Scheduler],
+    jobs_factory: Callable[[], list[JobSpec]],
+    config: SimulationConfig,
+    *,
+    seed: int,
+    horizon: float,
+    allow_partition: bool,
+    rerun: bool,
+) -> tuple[dict, dict]:
+    """Sample one trial's timeline and grade its run against the
+    survivability contract; returns the plain-data trial row and the run's
+    fault counters.  The factories must return fresh objects per call."""
+    timeline = sample_chaos_timeline(
+        topology_factory(),
+        seed=seed,
+        horizon=horizon,
+        allow_partition=allow_partition,
+    )
+    build = simulator_build(
+        topology_factory,
+        scheduler_factory,
+        jobs_factory,
+        dataclasses.replace(config, seed=seed, faults=timeline),
+    )
+    verdict = plain_data(run_contract(build, SURVIVABILITY, rerun=rerun))
+    del verdict["summary"]
+    counters = verdict.pop("counters")
+    row = dict(
+        trial=trial,
+        seed=seed,
+        allow_partition=allow_partition,
+        num_specs=len(timeline),
+        **verdict,
+    )
+    return row, counters
 
 
 def run_chaos_trial(
@@ -364,80 +322,26 @@ def run_chaos_trial(
     rerun: bool = True,
 ) -> ChaosTrialResult:
     """Run one seeded trial (plus its determinism rerun) and grade it."""
-    timeline = sample_chaos_timeline(
-        CHAOS_TOPOLOGIES[topology](),
+    row, counters = chaos_trial(
+        trial,
+        CHAOS_TOPOLOGIES[topology],
+        lambda: make_scheduler(scheduler, seed=seed),
+        lambda: WorkloadGenerator(
+            seed=seed, input_size_range=(2.0, 4.0)
+        ).make_workload(jobs_per_trial, interarrival=0.5),
+        SimulationConfig(
+            server_speed_spread=0.2,
+            max_task_retries=max_task_retries,
+            stall_limit=stall_limit,
+        ),
         seed=seed,
         horizon=horizon,
         allow_partition=allow_partition,
+        rerun=rerun,
     )
-
-    def make_build(
-        provenance: ProvenanceConfig | None = None,
-        sink: list | None = None,
-    ) -> Callable[[], tuple[MapReduceSimulator, int]]:
-        def build() -> tuple[MapReduceSimulator, int]:
-            jobs = WorkloadGenerator(
-                seed=seed, input_size_range=(2.0, 4.0)
-            ).make_workload(jobs_per_trial, interarrival=0.5)
-            config = SimulationConfig(
-                seed=seed,
-                faults=tuple(timeline),
-                max_task_retries=max_task_retries,
-                server_speed_spread=0.2,
-                provenance=provenance,
-            )
-            sim = _ChaosSimulator(
-                CHAOS_TOPOLOGIES[topology](),
-                make_scheduler(scheduler, seed=seed),
-                jobs,
-                config,
-                stall_limit=stall_limit,
-            )
-            if sink is not None:
-                sink.append(sim)
-            return sim, len(jobs)
-
-        return build
-
-    build = make_build()
-    status, reason, fingerprint, counters, violations = graded_run(
-        build, max_task_retries=max_task_retries
-    )
-    violations = list(violations)
-    if rerun:
-        status2, reason2, fingerprint2, _, _ = graded_run(
-            build, max_task_retries=max_task_retries
-        )
-        if (status2, reason2, fingerprint2) != (status, reason, fingerprint):
-            violations.append(
-                "nondeterministic rerun: "
-                f"{(status, fingerprint[:12])} vs {(status2, fingerprint2[:12])}"
-            )
-    provenance: dict = {}
-    if status == "failed" or violations:
-        # Failed/violating trials ship their own explanation: one more
-        # pass with the decision-audit plane on (faithful by the
-        # byte-identity contract) yields the decision fingerprint.
-        sims: list[MapReduceSimulator] = []
-        graded_run(
-            make_build(ProvenanceConfig(ring_size=1024), sims),
-            max_task_retries=max_task_retries,
-        )
-        if sims:
-            provenance = decision_digest(sims[-1].provenance)
+    row["violations"] = tuple(row["violations"])
     return ChaosTrialResult(
-        trial=trial,
-        seed=seed,
-        scheduler=scheduler,
-        topology=topology,
-        allow_partition=allow_partition,
-        num_specs=len(timeline),
-        status=status,
-        reason=reason,
-        fingerprint=fingerprint,
-        counters=counters,
-        violations=tuple(violations),
-        provenance=provenance,
+        scheduler=scheduler, topology=topology, counters=counters, **row
     )
 
 
@@ -455,10 +359,6 @@ def run_chaos(config: ChaosConfig | None = None) -> ChaosReport:
     ]
     for i in range(config.trials):
         scheduler, topology = grid[i % len(grid)]
-        allow_partition = (
-            config.partition_every > 0
-            and i % config.partition_every == config.partition_every - 1
-        )
         report.trials.append(
             run_chaos_trial(
                 i,
@@ -467,7 +367,7 @@ def run_chaos(config: ChaosConfig | None = None) -> ChaosReport:
                 seed=config.seed + i,
                 jobs_per_trial=config.jobs_per_trial,
                 horizon=config.horizon,
-                allow_partition=allow_partition,
+                allow_partition=partition_trial(i, config.partition_every),
                 max_task_retries=config.max_task_retries,
                 stall_limit=config.stall_limit,
                 rerun=config.rerun,

@@ -1,7 +1,8 @@
 """Discrete-event execution substrate: events, fluid network, engine,
 metrics."""
 
-from .engine import MapReduceSimulator, SimulationConfig, run_simulation
+from .engine import MapReduceSimulator, RunOutcome, SimulationConfig, run_simulation
+from .errors import EventBudgetExceeded, RetryBudgetExceeded, SimTimeStall, UnfinishedJobs
 from .events import Event, EventKind, EventQueue
 from .metrics import (
     FlowRecord,
@@ -17,7 +18,12 @@ from .trace import TraceEvent, dump_trace, load_trace, save_trace_file, trace_fr
 __all__ = [
     "MapReduceSimulator",
     "SimulationConfig",
+    "RunOutcome",
     "run_simulation",
+    "EventBudgetExceeded",
+    "RetryBudgetExceeded",
+    "SimTimeStall",
+    "UnfinishedJobs",
     "Event",
     "EventKind",
     "EventQueue",

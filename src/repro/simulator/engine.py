@@ -41,6 +41,7 @@ Execution model (simplifications are noted in DESIGN.md):
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,12 @@ from ..speculation.detector import AttemptProgress, SpeculationConfig
 from ..speculation.runtime import SpeculationState
 from ..topology.base import Topology
 from ..workload.admission import AdmissionConfig, AdmissionController
+from .errors import (
+    EventBudgetExceeded,
+    RetryBudgetExceeded,
+    SimTimeStall,
+    UnfinishedJobs,
+)
 from .events import Event, EventKind, EventQueue
 from .metrics import (
     FlowRecord,
@@ -77,7 +84,12 @@ from .metrics import (
 )
 from .network import DelayModel, FlowNetwork
 
-__all__ = ["SimulationConfig", "MapReduceSimulator", "run_simulation"]
+__all__ = [
+    "SimulationConfig",
+    "MapReduceSimulator",
+    "RunOutcome",
+    "run_simulation",
+]
 
 
 @dataclass(frozen=True)
@@ -103,6 +115,9 @@ class SimulationConfig:
     delay_model: DelayModel = field(default_factory=DelayModel)
     cost_model: CostModel = field(default_factory=CostModel)
     max_events: int = 2_000_000
+    #: Consecutive events tolerated at one simulated timestamp before the
+    #: run raises ``SimTimeStall`` (e.g. a retry loop at zero delay).
+    stall_limit: int = 50_000
     #: Fault timeline (empty = fault-free run, no recovery code paths).
     faults: tuple[FaultSpec, ...] = ()
     #: How many failure-induced re-executions a single task may consume
@@ -147,6 +162,28 @@ class SimulationConfig:
     #: a run may end with jobs still queued or explicitly rejected — every
     #: one accounted under the overload contract.
     admission: AdmissionConfig | None = None
+
+
+@dataclass(frozen=True)
+class RunOutcome:
+    """End-of-run facts a contract grades (:meth:`MapReduceSimulator.outcome`).
+
+    ``worst_retries`` is the most failure re-executions charged to one task
+    and ``retry_budget`` the config's ``max_task_retries``.  The admission
+    fields stay empty on batch runs; ``queue_bound`` is set only under the
+    ``queue-bound`` policy.
+    """
+
+    jobs: int
+    completed: int
+    rejection_records: int
+    worst_retries: int
+    retry_budget: int
+    parked_flows: int
+    events: int
+    admission: dict[str, int] = field(default_factory=dict)
+    queue_bound: int | None = None
+    peak_queue: int = 0
 
 
 @dataclass
@@ -347,6 +384,9 @@ class MapReduceSimulator:
                 )
             )
         events = 0
+        stall_limit = self.config.stall_limit
+        stall_time: float | None = None
+        stall_count = 0
         observed = _OBS.enabled
         recorder = self.timeline
         prov = self.provenance
@@ -361,7 +401,18 @@ class MapReduceSimulator:
             event = self._queue.pop()
             events += 1
             if events > self.config.max_events:
-                raise RuntimeError("simulation exceeded max_events — livelock?")
+                raise EventBudgetExceeded(
+                    "simulation exceeded max_events — livelock?"
+                )
+            if event.time != stall_time:
+                stall_time = event.time
+                stall_count = 0
+            stall_count += 1
+            if stall_count > stall_limit:
+                raise SimTimeStall(
+                    f"chaos watchdog: {stall_count} consecutive events "
+                    f"at sim time {event.time!r} — sim-time stall"
+                )
             if recorder is not None:
                 # Pre-dispatch sampling: state is piecewise constant since
                 # the previous event, so the grid points covered by this
@@ -391,7 +442,7 @@ class MapReduceSimulator:
                 j for j in unfinished if j.spec.job_id not in queued_ids
             ]
         if unfinished or self._pending:
-            raise RuntimeError(
+            raise UnfinishedJobs(
                 f"simulation ended with {len(unfinished)} unfinished and "
                 f"{len(self._pending)} unadmitted jobs"
             )
@@ -423,6 +474,30 @@ class MapReduceSimulator:
                         self.admission, self.metrics, where="sim.run.end"
                     )
         return self.metrics
+
+    def outcome(self) -> RunOutcome:
+        """What the run left behind, for contract graders."""
+        outcome = RunOutcome(
+            jobs=len(self.jobs),
+            completed=len(self.metrics.jobs),
+            rejection_records=len(self.metrics.rejections),
+            worst_retries=max(self._retries.values(), default=0),
+            retry_budget=self.config.max_task_retries,
+            parked_flows=len(self._parked),
+            events=self.events_processed,
+        )
+        admission = self.admission
+        if admission is None:
+            return outcome
+        policy = admission.config
+        return dataclasses.replace(
+            outcome,
+            admission={k: int(v) for k, v in admission.counters().items()},
+            queue_bound=(
+                policy.queue_bound if policy.policy == "queue-bound" else None
+            ),
+            peak_queue=admission.max_queue_len(),
+        )
 
     def _dispatch(self, event: Event) -> None:
         """Process one event (the hot loop body)."""
@@ -1638,7 +1713,7 @@ class MapReduceSimulator:
     def _charge_retry(self, job: _JobState, cid: int, kind: str) -> None:
         count = self._retries.get(cid, 0) + 1
         if count > self.config.max_task_retries:
-            raise RuntimeError(
+            raise RetryBudgetExceeded(
                 f"{kind} task of job {job.spec.job_id} (container {cid}) "
                 f"exceeded max_task_retries={self.config.max_task_retries}"
             )

@@ -14,14 +14,14 @@ from repro.faults.chaos import (
     CHAOS_TOPOLOGIES,
     ChaosConfig,
     ChaosReport,
-    _ChaosSimulator,
+    ChaosTrialResult,
     run_chaos,
     run_chaos_trial,
     sample_chaos_timeline,
 )
 from repro.mapreduce import WorkloadGenerator
 from repro.schedulers import make_scheduler
-from repro.simulator import MapReduceSimulator, SimulationConfig
+from repro.simulator import MapReduceSimulator, SimTimeStall, SimulationConfig
 
 
 class TestSurvivabilityCampaign:
@@ -56,42 +56,39 @@ class TestSurvivabilityCampaign:
 
 class TestNoFaultByteIdentity:
     def test_chaos_engine_matches_plain_engine(self, small_tree):
-        """A chaos simulator with no fault timeline is the plain engine:
-        same metrics, same event count, byte for byte."""
+        """The chaos harness's stall limit never trips on a fault-free run,
+        so the run matches the default config: same metrics, same event
+        count, byte for byte."""
 
-        def run(cls):
+        def run(config):
             jobs = WorkloadGenerator(
                 seed=5, input_size_range=(2.0, 4.0)
             ).make_workload(3, interarrival=0.5)
-            sim = cls(
-                small_tree,
-                make_scheduler("hit", seed=5),
-                jobs,
-                SimulationConfig(seed=5),
+            sim = MapReduceSimulator(
+                small_tree, make_scheduler("hit", seed=5), jobs, config
             )
             metrics = sim.run()
             return metrics.summary(), sim.events_processed
 
-        plain = run(MapReduceSimulator)
-        chaos = run(_ChaosSimulator)
+        plain = run(SimulationConfig(seed=5))
+        chaos = run(SimulationConfig(seed=5, stall_limit=20_000))
         assert plain == chaos
 
 
 class TestWatchdogAndFailures:
     def test_watchdog_trips_on_stall(self, small_tree):
         """An absurdly low stall limit must trip on any real run — proving
-        the watchdog is live — and be reported as a contract violation."""
+        the engine's liveness check is live."""
         jobs = WorkloadGenerator(
             seed=5, input_size_range=(2.0, 4.0)
         ).make_workload(2, interarrival=0.5)
-        sim = _ChaosSimulator(
+        sim = MapReduceSimulator(
             small_tree,
             make_scheduler("capacity", seed=5),
             jobs,
-            SimulationConfig(seed=5),
-            stall_limit=0,
+            SimulationConfig(seed=5, stall_limit=0),
         )
-        with pytest.raises(RuntimeError, match="chaos watchdog"):
+        with pytest.raises(SimTimeStall):
             sim.run()
 
     def test_retry_exhaustion_is_accounted_not_violation(self):
@@ -111,7 +108,7 @@ class TestWatchdogAndFailures:
             assert trial.violations == ()
             if trial.status == "failed":
                 failures += 1
-                assert "exceeded max_task_retries" in trial.reason
+                assert trial.reason.startswith("RetryBudgetExceeded: ")
         assert failures > 0, "some seed must exhaust a zero retry budget"
 
 
@@ -147,4 +144,37 @@ class TestConfigValidation:
             "ok": 0,
             "failed_accounted": 0,
             "violations": 0,
+        }
+
+    def test_failed_accounted_excludes_violating_failures(self):
+        """A failed trial that carries violations is not an accounted
+        failure — one definition for the campaign and the sweep cell."""
+
+        def trial(i, status, violations=()):
+            return ChaosTrialResult(
+                trial=i,
+                seed=i,
+                scheduler="capacity",
+                topology="small",
+                allow_partition=False,
+                num_specs=0,
+                status=status,
+                reason="" if status == "ok" else "Boom: x",
+                fingerprint="",
+                violations=violations,
+            )
+
+        report = ChaosReport(
+            config=ChaosConfig(),
+            trials=[
+                trial(0, "ok"),
+                trial(1, "failed"),
+                trial(2, "failed", ("unaccounted failure: Boom: x",)),
+            ],
+        )
+        assert report.summary() == {
+            "trials": 3,
+            "ok": 1,
+            "failed_accounted": 1,
+            "violations": 1,
         }

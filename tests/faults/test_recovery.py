@@ -13,7 +13,12 @@ from repro.experiments import configs
 from repro.faults import FaultKind, FaultSpec, generate_timeline
 from repro.obs import InvariantChecker, observe
 from repro.schedulers import make_scheduler
-from repro.simulator import MapReduceSimulator, SimulationConfig, run_simulation
+from repro.simulator import (
+    MapReduceSimulator,
+    RetryBudgetExceeded,
+    SimulationConfig,
+    run_simulation,
+)
 from repro.topology import TreeConfig, build_tree
 
 from ..conftest import make_job
@@ -144,7 +149,7 @@ class TestServerFailure:
         first_start, first_finish, _ = map_window(baseline)
         t_fail = (first_start + first_finish) / 2
         faults = [FaultSpec(t_fail, FaultKind.SERVER_FAIL, sid) for sid in (0, 1, 2)]
-        with pytest.raises(RuntimeError, match="max_task_retries=0"):
+        with pytest.raises(RetryBudgetExceeded, match="max_task_retries=0"):
             run_with_faults(topo, faults, max_task_retries=0)
 
     def test_slowdown_stretches_makespan(self, topo):

@@ -12,7 +12,7 @@ import pytest
 
 from repro.obs import InvariantChecker, Tracer, observe
 from repro.schedulers import make_scheduler
-from repro.simulator import MapReduceSimulator, SimulationConfig
+from repro.simulator import MapReduceSimulator, SimulationConfig, UnfinishedJobs
 from repro.topology import TreeConfig, build_tree
 from repro.workload import (
     AdmissionConfig,
@@ -121,7 +121,7 @@ class TestQueuedAtEnd:
                        server_resources=(2.0,))
         )
         whale = make_job(0, num_maps=4, num_reduces=9)
-        with pytest.raises(RuntimeError, match="unfinished|unadmitted"):
+        with pytest.raises(UnfinishedJobs, match="unfinished|unadmitted"):
             _run(topo, [whale], admission=None)
 
 

@@ -16,9 +16,9 @@ from repro.experiments.online import (
     ONLINE_TOPOLOGIES,
     build_arrival_plan,
     online_fingerprint,
+    online_record,
 )
 from repro.faults import FaultKind, FaultSpec
-from repro.faults.chaos import WatchdogSimulator
 from repro.mapreduce import WorkloadGenerator
 from repro.obs import DECISION_KINDS, REASON_CODES, ProvenanceConfig
 from repro.schedulers import make_scheduler
@@ -134,17 +134,14 @@ def _online_run(provenance):
         admission=AdmissionConfig(policy="queue-bound", queue_bound=8),
         provenance=provenance,
     )
-    sim = WatchdogSimulator(
+    sim = MapReduceSimulator(
         ONLINE_TOPOLOGIES["small"](),
         make_scheduler("hit-online", seed=seed),
         jobs,
         config,
-        stall_limit=50_000,
     )
-    metrics = sim.run()
-    counters = {k: int(v) for k, v in sim.admission.counters().items()}
-    counters["online.completed"] = len(metrics.jobs)
-    summary = {k: float(v) for k, v in metrics.online_summary().items()}
+    sim.run()
+    summary, counters = online_record(sim)
     return sim, online_fingerprint(summary, counters, sim.events_processed)
 
 

@@ -7,7 +7,12 @@ from repro.cluster import Container, Resources, TaskKind, TaskRef
 from repro.core import HitConfig, HitOptimizer, TAAInstance
 from repro.mapreduce import JobSpec, ShuffleClass, WorkloadGenerator, build_flows
 from repro.schedulers import make_scheduler
-from repro.simulator import SimulationConfig, run_simulation
+from repro.simulator import (
+    EventBudgetExceeded,
+    SimulationConfig,
+    UnfinishedJobs,
+    run_simulation,
+)
 from repro.topology import TreeConfig, build_bcube, build_fattree, build_tree, build_vl2
 from repro.yarnsim import ApplicationMaster, ResourceManager, TopologyAwareTaskDict
 
@@ -148,14 +153,14 @@ class TestFailureInjection:
         admitted; the simulation refuses to end silently."""
         tiny = build_tree(TreeConfig(depth=1, fanout=2, server_resources=(1.0,)))
         job = make_job(num_maps=1, num_reduces=8)
-        with pytest.raises(RuntimeError, match="unadmitted|unfinished"):
+        with pytest.raises(UnfinishedJobs, match="unadmitted|unfinished"):
             run_simulation(tiny, make_scheduler("capacity"), [job])
 
     def test_max_events_guard(self):
         topo = build_tree(TreeConfig(depth=2, fanout=4, redundancy=2,
                                      server_resources=(2.0,)))
         jobs = [make_job(num_maps=4, num_reduces=2)]
-        with pytest.raises(RuntimeError, match="max_events"):
+        with pytest.raises(EventBudgetExceeded, match="max_events"):
             run_simulation(
                 topo, make_scheduler("capacity"), jobs,
                 SimulationConfig(max_events=3),
