@@ -21,7 +21,8 @@ def main() -> None:
           f"{sum(j.shuffle_volume for j in jobs):.0f} GB shuffled\n")
 
     rows = []
-    for arch_name, topology in configs.architectures_64().items():
+    for arch_name, fabric in configs.ARCHITECTURES_64.items():
+        topology = configs.build_fabric(fabric)
         workload = build_static_workload(topology, jobs, seed=3)
         entry = [arch_name, f"{topology.num_servers}s/{topology.num_switches}w"]
         for scheduler_name in ("capacity", "pna", "hit"):

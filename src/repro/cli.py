@@ -27,49 +27,27 @@ import sys
 from typing import Sequence
 
 from .analysis import format_table
+from .experiments.configs import FABRICS, build_fabric
+from .experiments.sweep import ARMS
 from .mapreduce import WorkloadGenerator, load_workload_file, save_workload_file
-from .schedulers import make_scheduler
-from .topology import (
-    BCubeConfig,
-    FatTreeConfig,
-    Tier,
-    TreeConfig,
-    VL2Config,
-    build_bcube,
-    build_fattree,
-    build_tree,
-    build_vl2,
-)
+from .schedulers import SCHEDULERS, make_scheduler
+from .topology import Tier
 
 __all__ = ["main", "build_parser"]
-
-SCHEDULER_CHOICES = (
-    "capacity", "capacity-ecmp", "pna", "hit", "hit-online", "random", "rackpack",
-)
 
 #: Grid step used by bare ``--timeline`` (no ``--timeline-dt``).
 DEFAULT_TIMELINE_DT = 0.05
 
 
-def _build_topology(args: argparse.Namespace):
-    if args.kind == "tree":
-        return build_tree(TreeConfig(
-            depth=args.depth, fanout=args.fanout, redundancy=args.redundancy,
-            server_resources=(args.slots,),
-        ))
-    if args.kind == "fattree":
-        return build_fattree(FatTreeConfig(k=args.k, server_resources=(args.slots,)))
-    if args.kind == "vl2":
-        return build_vl2(VL2Config(server_resources=(args.slots,)))
-    if args.kind == "bcube":
-        return build_bcube(BCubeConfig(n=args.n, k=args.levels,
-                                       server_resources=(args.slots,)))
-    raise ValueError(f"unknown topology kind {args.kind!r}")
-
-
 # ------------------------------------------------------------------ commands
 def cmd_topology(args: argparse.Namespace) -> int:
-    topo = _build_topology(args)
+    # A flag overrides the fabric parameter of the same name; the defaults
+    # live in the registry.
+    spec = {"name": args.kind}
+    for key in FABRICS[args.kind].defaults:
+        if getattr(args, key, None) is not None:
+            spec[key] = getattr(args, key)
+    topo = build_fabric(spec)
     print(topo)
     by_tier: dict[Tier, int] = {}
     for w in topo.switch_ids:
@@ -543,7 +521,6 @@ def cmd_online(args: argparse.Namespace) -> int:
 
     from .analysis.report import canonical_json
     from .experiments.online import (
-        ONLINE_TOPOLOGIES,
         admission_config,
         build_arrival_plan,
         online_fingerprint,
@@ -554,7 +531,7 @@ def cmd_online(args: argparse.Namespace) -> int:
     from .workload import generate_arrivals
 
     plan = build_arrival_plan(
-        ONLINE_TOPOLOGIES[args.topology](),
+        build_fabric(args.topology),
         multiplier=args.arrival_rate,
         tenants=args.tenants,
         profile=args.profile,
@@ -586,7 +563,7 @@ def cmd_online(args: argparse.Namespace) -> int:
         with observe(checker=checker, tracer=tracer):
             jobs = generate_arrivals(plan, seed=args.seed)
             simulator = MapReduceSimulator(
-                ONLINE_TOPOLOGIES[args.topology](),
+                build_fabric(args.topology),
                 make_scheduler(args.scheduler, seed=args.seed),
                 jobs,
                 config,
@@ -731,14 +708,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("topology", help="build and describe a fabric")
-    p.add_argument("kind", choices=("tree", "fattree", "vl2", "bcube"))
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--fanout", type=int, default=4)
-    p.add_argument("--redundancy", type=int, default=2)
-    p.add_argument("--k", type=int, default=4, help="fat-tree arity")
-    p.add_argument("--n", type=int, default=4, help="BCube ports per switch")
-    p.add_argument("--levels", type=int, default=1, help="BCube level count k")
-    p.add_argument("--slots", type=float, default=2.0, help="slots per server")
+    p.add_argument("kind", choices=sorted(FABRICS), help="fabric registry name")
+    p.add_argument("--depth", type=int, help="tree switch levels")
+    p.add_argument("--fanout", type=int, help="tree branching factor")
+    p.add_argument("--redundancy", type=int, help="tree switches per position")
+    p.add_argument("--k", type=int, help="fat-tree arity")
+    p.add_argument("--n", type=int, help="BCube ports per switch")
+    p.add_argument("--levels", type=int, help="BCube level count k")
+    p.add_argument("--slots", type=float, help="slots per server")
     p.set_defaults(func=cmd_topology)
 
     p = sub.add_parser("workload", help="sample a Table-1 workload")
@@ -756,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(cmd, help=help_text)
         p.add_argument(
-            "--scheduler", nargs="+", choices=SCHEDULER_CHOICES,
+            "--scheduler", nargs="+", choices=list(SCHEDULERS),
             default=["capacity", "pna", "hit"],
         )
         p.add_argument("--jobs", type=int, default=8)
@@ -959,20 +936,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed axis (default: 0)",
     )
     p.add_argument(
-        "--schedulers", nargs="+", choices=SCHEDULER_CHOICES,
+        "--schedulers", nargs="+", choices=list(SCHEDULERS),
         default=["capacity", "pna", "hit"],
         help="scheduler axis",
     )
     p.add_argument(
-        "--topologies", nargs="+",
-        choices=("testbed", "large64", "large512", "mini"),
+        "--topologies", nargs="+", choices=sorted(FABRICS),
         default=["testbed"],
         help="topology axis (registry names; dict form only via --grid)",
     )
     p.add_argument(
-        "--arms", nargs="+",
-        choices=("baseline", "chaos", "faults", "faults+speculation",
-                 "online", "static", "telemetry"),
+        "--arms", nargs="+", choices=sorted(ARMS),
         default=["baseline"],
         help="fault/speculation arm axis (default: baseline)",
     )
@@ -1029,13 +1003,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="base seed; trial i uses seed+i")
     p.add_argument(
-        "--schedulers", nargs="+", choices=SCHEDULER_CHOICES,
+        "--schedulers", nargs="+", choices=list(SCHEDULERS),
         default=["capacity", "hit"],
     )
     p.add_argument(
-        "--topologies", nargs="+", choices=("small", "deep"),
+        "--topologies", nargs="+", choices=sorted(FABRICS),
         default=["small", "deep"],
-        help="chaos fabric registry names (default: both)",
+        help="fabric registry names (default: small deep)",
     )
     p.add_argument("--jobs", type=int, default=3,
                    help="jobs per trial (default 3)")
@@ -1095,11 +1069,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="submission window in sim time (default 3.0)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--scheduler", choices=SCHEDULER_CHOICES, default="hit",
+        "--scheduler", choices=list(SCHEDULERS), default="hit",
     )
     p.add_argument(
-        "--topology", choices=("small", "deep"), default="small",
-        help="online fabric registry name (default small)",
+        "--topology", choices=sorted(FABRICS), default="small",
+        help="fabric registry name (default small)",
     )
     p.add_argument(
         "--stall-limit", type=int, default=50_000,

@@ -118,7 +118,7 @@ def fig3_case_study() -> CaseStudyResult:
     Hit-Scheduler optimise the Reduce placement; it should do at least as
     well as the paper's hand solution.
     """
-    topology = configs.case_study_tree()
+    topology = configs.build_fabric("case-study")
     # Server ids: 0=S1, 1=S2 (rack A), 2=S3, 3=S4 (rack B).
     demand = Resources(1.0, 0.0)
     containers = [
@@ -276,8 +276,10 @@ def fig8b_architectures(
     generator = WorkloadGenerator(seed=seed, input_size_range=(8.0, 16.0))
     jobs = generator.jobs_of_class(ShuffleClass.HEAVY, num_jobs)
     out: dict[str, dict[str, float]] = {}
-    for arch_name, topology in configs.architectures_64().items():
-        workload = build_static_workload(topology, jobs, seed=seed)
+    for arch_name, fabric in configs.ARCHITECTURES_64.items():
+        workload = build_static_workload(
+            configs.build_fabric(fabric), jobs, seed=seed
+        )
         row: dict[str, float] = {}
         for name in ("capacity", "pna", "hit"):
             result = run_static_placement(
@@ -310,16 +312,9 @@ def fig9_bandwidth_sensitivity(
     flattening right tail).
     """
     from ..simulator.network import FlowNetwork
-    from ..topology.tree import TreeConfig, build_tree
 
     generator = WorkloadGenerator(seed=seed, input_size_range=(8.0, 16.0))
     jobs = generator.jobs_of_class(ShuffleClass.HEAVY, num_jobs)
-    if num_servers == 512:
-        depth, fanout = 3, 8
-    elif num_servers == 64:
-        depth, fanout = 3, 4
-    else:
-        raise ValueError("num_servers must be 64 or 512")
     # Compute floor: the workload's total map+reduce compute, which does not
     # change with link bandwidth.
     compute_floor = sum(
@@ -329,21 +324,9 @@ def fig9_bandwidth_sensitivity(
 
     out: dict[float, dict[str, float]] = {}
     for bandwidth in bandwidths:
-        # Link bandwidths and switch capacities are all rate-units, so the
-        # whole fabric scales with the bandwidth knob (the paper varies the
-        # Mininet link bandwidth, which scales switch forwarding too).
-        topology = build_tree(
-            TreeConfig(
-                depth=depth,
-                fanout=fanout,
-                redundancy=2,
-                server_link_bandwidth=bandwidth,
-                fabric_link_bandwidth=2.5 * bandwidth,
-                access_capacity=8.0 * bandwidth,
-                aggregation_capacity=32.0 * bandwidth,
-                core_capacity=128.0 * bandwidth,
-                server_resources=(3.0,),
-            )
+        topology = configs.build_fabric(
+            {"name": "fig9-tree", "num_servers": num_servers,
+             "bandwidth": bandwidth}
         )
         workload = build_static_workload(topology, jobs, seed=seed)
         throughput: dict[str, float] = {}

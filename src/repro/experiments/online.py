@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..analysis.report import canonical_json
-from ..faults.chaos import CHAOS_TOPOLOGIES
 from ..schedulers import make_scheduler
 from ..simulator import MapReduceSimulator, RunOutcome, SimulationConfig
 from ..topology.base import Topology
@@ -52,6 +51,7 @@ from ..workload import (
     estimate_saturation_rate,
     generate_arrivals,
 )
+from .configs import FABRICS, build_fabric
 from .contract import (
     Contract,
     fingerprint,
@@ -61,7 +61,6 @@ from .contract import (
 )
 
 __all__ = [
-    "ONLINE_TOPOLOGIES",
     "OnlineCellResult",
     "OnlineConfig",
     "OnlineReport",
@@ -74,11 +73,6 @@ __all__ = [
     "run_online_cell",
 ]
 
-#: Named fabrics the campaign cycles through (same redundancy-2 trees as the
-#: chaos harness, so overload and fault campaigns are directly comparable).
-ONLINE_TOPOLOGIES: dict[str, Callable[[], Topology]] = dict(CHAOS_TOPOLOGIES)
-
-
 @dataclass(frozen=True)
 class OnlineConfig:
     """Knobs of one overload campaign."""
@@ -89,6 +83,8 @@ class OnlineConfig:
     multipliers: tuple[float, ...] = (0.5, 1.0, 2.0)
     seed: int = 0
     schedulers: tuple[str, ...] = ("capacity", "hit")
+    #: Fabric registry names; the defaults are the chaos campaign's, so
+    #: overload and fault campaigns are directly comparable.
     topologies: tuple[str, ...] = ("small", "deep")
     tenants: int = 2
     profile: str = "poisson"
@@ -108,11 +104,11 @@ class OnlineConfig:
             raise ValueError("multipliers must be positive and non-empty")
         if not self.schedulers or not self.topologies:
             raise ValueError("need at least one scheduler and one topology")
-        unknown = [t for t in self.topologies if t not in ONLINE_TOPOLOGIES]
+        unknown = [t for t in self.topologies if t not in FABRICS]
         if unknown:
             raise ValueError(
                 f"unknown online topologies {unknown}; "
-                f"known: {sorted(ONLINE_TOPOLOGIES)}"
+                f"known: {sorted(FABRICS)}"
             )
         if self.tenants < 1:
             raise ValueError("need at least one tenant")
@@ -399,7 +395,7 @@ def overload_campaign(config: OnlineConfig | None = None) -> OnlineReport:
     for index, (multiplier, topology, scheduler) in enumerate(grid):
         seed = config.seed + index
         result = run_online_cell(
-            ONLINE_TOPOLOGIES[topology],
+            lambda topology=topology: build_fabric(topology),
             lambda scheduler=scheduler, seed=seed: make_scheduler(
                 scheduler, seed=seed
             ),

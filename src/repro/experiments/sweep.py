@@ -42,26 +42,28 @@ results, checksums — never wall-clock timings (those go to the
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from ..analysis.report import canonical_json, render_sweep_report
-from ..cluster.resources import Resources
 from ..faults import generate_timeline
 from ..mapreduce.workload import WorkloadGenerator
 from ..obs.runtime import STATE as _OBS
 from ..obs.tracer import TimerStat
 from ..schedulers import make_scheduler
-from ..simulator.engine import SimulationConfig
 from ..speculation import SpeculationConfig
-from ..topology.base import Topology
-from ..topology.tree import TreeConfig, build_tree
-from . import configs
+from .configs import (
+    build_fabric,
+    normalize_fabric,
+    normalize_params,
+    testbed_simulation_config,
+)
 from .faults import run_chaos_cell, run_fault_cell
 from .static import run_static_cell
 from .telemetry import run_telemetry_cell
@@ -69,11 +71,12 @@ from .telemetry import run_telemetry_cell
 __all__ = [
     "SWEEP_FORMAT",
     "ARMS",
+    "Arm",
     "CellConfig",
     "SweepSpec",
     "SweepRunResult",
-    "build_cell_topology",
     "build_cell_workload",
+    "register_arm",
     "run_cell",
     "cell_artifact_path",
     "write_cell_artifact",
@@ -86,20 +89,6 @@ __all__ = [
 #: change to the cell semantics so stale caches invalidate themselves.
 SWEEP_FORMAT = "repro.sweep.v1"
 
-#: Fault/speculation arms a cell can run.
-ARMS = (
-    "baseline",
-    "chaos",
-    "faults",
-    "faults+speculation",
-    "online",
-    "static",
-    "telemetry",
-)
-
-#: Arms that sample and replay a fault timeline.
-_FAULT_ARMS = ("faults", "faults+speculation")
-
 DEFAULT_WORKLOAD: dict[str, Any] = {
     "num_jobs": 8,
     "interarrival": 0.5,
@@ -109,6 +98,8 @@ DEFAULT_WORKLOAD: dict[str, Any] = {
     "reduce_rate": 8.0,
 }
 
+#: Fault-arm knobs: ``max_task_retries`` plus the keywords of
+#: :func:`repro.faults.generate_timeline`.
 DEFAULT_FAULT: dict[str, Any] = {
     "server_mtbf": 8.0,
     "server_mttr": 0.5,
@@ -153,53 +144,46 @@ DEFAULT_ONLINE: dict[str, Any] = {
 _TELEMETRY_DT = 0.05
 
 
-# ---------------------------------------------------------------- normalising
-def _normalized(
-    section: str, raw: Mapping[str, Any], defaults: Mapping[str, Any]
-) -> dict[str, Any]:
-    """Defaults merged with ``raw``, values coerced to canonical types.
-
-    Numeric coercion (int stays int, everything else becomes float; string
-    defaults stay strings) makes the hash insensitive to JSON round-trips —
-    ``8`` and ``8.0`` for a rate knob must not be two different cells.
-    Unknown keys are an error: a typo silently ignored would *weaken* the
-    hash (two specs differing only in the typo'd knob would collide).
-    """
-    unknown = set(raw) - set(defaults)
-    if unknown:
-        raise ValueError(
-            f"unknown {section} field(s): {sorted(unknown)} "
-            f"(known: {sorted(defaults)})"
-        )
-    out: dict[str, Any] = {}
-    for key, default in defaults.items():
-        value = raw.get(key, default)
-        if value is None:
-            out[key] = None
-        elif isinstance(default, str):
-            out[key] = str(value)
-        elif isinstance(default, int) and not isinstance(default, bool):
-            out[key] = int(value)
-        else:
-            out[key] = float(value)
-    return out
+#: Config sections an arm can carry, with their canonical defaults.  A
+#: cell carries only its arm's sections, so e.g. baseline cell hashes
+#: survive fault-parameter changes.
+SECTION_DEFAULTS: dict[str, dict[str, Any]] = {
+    "fault": DEFAULT_FAULT,
+    "speculation": DEFAULT_SPECULATION,
+    "chaos": DEFAULT_CHAOS,
+    "online": DEFAULT_ONLINE,
+}
 
 
-def _normalize_topology(raw: str | Mapping[str, Any]) -> dict[str, Any]:
-    """Topology spec entry -> canonical dict (``"testbed"`` and
-    ``{"name": "testbed"}`` are the same cell)."""
-    if isinstance(raw, str):
-        raw = {"name": raw}
-    if "name" not in raw:
-        raise ValueError(f"topology spec needs a 'name': {raw!r}")
-    name = str(raw["name"])
-    params = {k: v for k, v in raw.items() if k != "name"}
-    defaults = _TOPOLOGY_PARAMS.get(name)
-    if defaults is None:
-        raise ValueError(
-            f"unknown topology {name!r} (known: {sorted(_TOPOLOGY_PARAMS)})"
-        )
-    return {"name": name, **_normalized(f"topology[{name}]", params, defaults)}
+# ------------------------------------------------------------- arm registry
+@dataclass(frozen=True)
+class Arm:
+    """One sweep arm: the config sections its cells carry and the runner
+    that executes a cell from its config alone."""
+
+    sections: tuple[str, ...]
+    run: Callable[["CellConfig"], dict[str, Any]]
+
+
+#: Every arm a cell can run, keyed by name.
+ARMS: dict[str, Arm] = {}
+
+
+def register_arm(name: str, *sections: str):
+    """Decorator registering ``run(cell) -> plain data`` as arm ``name``,
+    whose cells carry the given :data:`SECTION_DEFAULTS` sections."""
+
+    def decorate(run: Callable[["CellConfig"], dict[str, Any]]):
+        ARMS[name] = Arm(tuple(sections), run)
+        return run
+
+    return decorate
+
+
+def _arm(name: str) -> Arm:
+    if name not in ARMS:
+        raise ValueError(f"unknown arm {name!r} (known: {sorted(ARMS)})")
+    return ARMS[name]
 
 
 # ------------------------------------------------------------------ the cell
@@ -212,16 +196,11 @@ class CellConfig:
     topology: dict[str, Any]
     arm: str
     workload: dict[str, Any]
-    #: Fault-timeline knobs; present only on fault arms so baseline caches
-    #: survive fault-parameter changes.
+    #: The :data:`SECTION_DEFAULTS` sections; each is set exactly when the
+    #: cell's arm carries it and ``None`` otherwise.
     fault: dict[str, Any] | None = None
-    #: Speculation knobs; present only on the mitigation arm.
     speculation: dict[str, Any] | None = None
-    #: Chaos-campaign knobs; present only on the chaos arm (absent keys keep
-    #: every pre-chaos cell hash unchanged).
     chaos: dict[str, Any] | None = None
-    #: Overload-campaign knobs; present only on the online arm (same
-    #: hash-preservation rationale).
     online: dict[str, Any] | None = None
 
     def to_dict(self) -> dict[str, Any]:
@@ -234,55 +213,29 @@ class CellConfig:
             "arm": self.arm,
             "workload": dict(self.workload),
         }
-        if self.fault is not None:
-            out["fault"] = dict(self.fault)
-        if self.speculation is not None:
-            out["speculation"] = dict(self.speculation)
-        if self.chaos is not None:
-            out["chaos"] = dict(self.chaos)
-        if self.online is not None:
-            out["online"] = dict(self.online)
+        for section in _arm(self.arm).sections:
+            out[section] = dict(getattr(self, section))
         return out
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "CellConfig":
         """Rebuild a cell from (possibly hand-written) plain data,
         re-normalising every section so the round-trip is canonical."""
-        arm = str(raw["arm"])
-        if arm not in ARMS:
-            raise ValueError(f"unknown arm {arm!r} (known: {ARMS})")
-        fault = raw.get("fault")
-        speculation = raw.get("speculation")
+        name = str(raw["arm"])
         return cls(
             seed=int(raw["seed"]),
             scheduler=str(raw["scheduler"]),
-            topology=_normalize_topology(raw["topology"]),
-            arm=arm,
-            workload=_normalized(
+            topology=normalize_fabric(raw["topology"]),
+            arm=name,
+            workload=normalize_params(
                 "workload", raw.get("workload", {}), DEFAULT_WORKLOAD
             ),
-            fault=(
-                _normalized("fault", fault or {}, DEFAULT_FAULT)
-                if arm in _FAULT_ARMS
-                else None
-            ),
-            speculation=(
-                _normalized(
-                    "speculation", speculation or {}, DEFAULT_SPECULATION
+            **{
+                section: normalize_params(
+                    section, raw.get(section) or {}, SECTION_DEFAULTS[section]
                 )
-                if arm == "faults+speculation"
-                else None
-            ),
-            chaos=(
-                _normalized("chaos", raw.get("chaos") or {}, DEFAULT_CHAOS)
-                if arm == "chaos"
-                else None
-            ),
-            online=(
-                _normalized("online", raw.get("online") or {}, DEFAULT_ONLINE)
-                if arm == "online"
-                else None
-            ),
+                for section in _arm(name).sections
+            },
         )
 
     def canonical(self) -> str:
@@ -307,43 +260,7 @@ class CellConfig:
         )
 
 
-# ----------------------------------------------------- topologies & workloads
-#: Per-topology tunable parameters (and their canonical defaults).  Every
-#: parameter is part of the cell hash, so changing e.g. ``redundancy``
-#: invalidates exactly the affected cells.
-_TOPOLOGY_PARAMS: dict[str, dict[str, Any]] = {
-    "testbed": {"redundancy": 2},
-    "large64": {"redundancy": 2},
-    "large512": {"redundancy": 2},
-    "mini": {"depth": 2, "fanout": 4, "redundancy": 2, "slots": 3.0},
-}
-
-
-def build_cell_topology(topo: Mapping[str, Any]) -> Topology:
-    """Fresh topology for one cell (registry keyed by ``topo['name']``)."""
-    name = topo["name"]
-    if name == "testbed":
-        return configs.testbed_tree(redundancy=int(topo["redundancy"]))
-    if name == "large64":
-        return configs.large_tree(
-            num_servers=64, redundancy=int(topo["redundancy"])
-        )
-    if name == "large512":
-        return configs.large_tree(
-            num_servers=512, redundancy=int(topo["redundancy"])
-        )
-    if name == "mini":
-        return build_tree(
-            TreeConfig(
-                depth=int(topo["depth"]),
-                fanout=int(topo["fanout"]),
-                redundancy=int(topo["redundancy"]),
-                server_resources=(float(topo["slots"]),),
-            )
-        )
-    raise ValueError(f"unknown topology {name!r}")
-
-
+# ---------------------------------------------------------------- workloads
 def build_cell_workload(cell: CellConfig) -> list:
     """Fresh Table-1-style workload for one cell, seeded from the cell."""
     w = cell.workload
@@ -361,100 +278,100 @@ def build_cell_workload(cell: CellConfig) -> list:
 
 
 # ------------------------------------------------------------- cell execution
-def _cell_timeline(cell: CellConfig, topology: Topology):
-    """Sample the cell's fault timeline (empty for non-fault arms)."""
-    if cell.fault is None:
-        return ()
-    f = cell.fault
-    return generate_timeline(
+@register_arm("baseline")
+@register_arm("faults", "fault")
+@register_arm("faults+speculation", "fault", "speculation")
+def _run_replay_cell(cell: CellConfig) -> dict[str, Any]:
+    """One engine run, replaying the cell's sampled fault timeline (if the
+    arm carries ``fault``) with speculation (if it carries ``speculation``)."""
+    topology = build_fabric(cell.topology)
+    fault = dict(cell.fault or {})
+    max_task_retries = int(fault.pop("max_task_retries", 10))
+    metrics, counters = run_fault_cell(
         topology,
+        make_scheduler(cell.scheduler, seed=cell.seed),
+        build_cell_workload(cell),
+        testbed_simulation_config(cell.seed),
+        timeline=(
+            generate_timeline(topology, seed=cell.seed, **fault) if fault else ()
+        ),
+        speculation=(
+            SpeculationConfig(**cell.speculation) if cell.speculation else None
+        ),
+        max_task_retries=max_task_retries,
+    )
+    return {
+        "summary": {k: float(v) for k, v in metrics.summary().items()},
+        "counters": {k: int(v) for k, v in sorted(counters.items())},
+    }
+
+
+@register_arm("static")
+def _run_static_cell(cell: CellConfig) -> dict[str, Any]:
+    return run_static_cell(
+        build_fabric(cell.topology),
+        build_cell_workload(cell),
+        cell.scheduler,
         seed=cell.seed,
-        horizon=f["horizon"],
-        server_mtbf=f["server_mtbf"],
-        server_mttr=f["server_mttr"],
-        switch_mtbf=f["switch_mtbf"],
-        switch_mttr=f["switch_mttr"],
-        slowdown_mtbf=f["slowdown_mtbf"],
-        slowdown_mttr=f["slowdown_mttr"],
-        slowdown_factor=f["slowdown_factor"],
+    )
+
+
+@register_arm("telemetry")
+def _run_telemetry_cell(cell: CellConfig) -> dict[str, Any]:
+    import dataclasses
+
+    run = run_telemetry_cell(
+        build_fabric(cell.topology),
+        make_scheduler(cell.scheduler, seed=cell.seed),
+        build_cell_workload(cell),
+        dataclasses.replace(
+            testbed_simulation_config(cell.seed), timeline_dt=_TELEMETRY_DT
+        ),
+    )
+    return {
+        "summary": {k: float(v) for k, v in run.metrics.summary().items()},
+        "segments": {k: float(v) for k, v in run.mean_segments.items()},
+        "counters": {k: int(v) for k, v in sorted(run.counters.items())},
+    }
+
+
+@register_arm("chaos", "chaos")
+def _run_chaos_cell(cell: CellConfig) -> dict[str, Any]:
+    assert cell.chaos is not None
+    return run_chaos_cell(
+        lambda: build_fabric(cell.topology),
+        lambda: make_scheduler(cell.scheduler, seed=cell.seed),
+        lambda: build_cell_workload(cell),
+        testbed_simulation_config(cell.seed),
+        seed=cell.seed,
+        **cell.chaos,
+    )
+
+
+@register_arm("online", "online")
+def _run_online_cell(cell: CellConfig) -> dict[str, Any]:
+    from .online import run_online_cell
+
+    assert cell.online is not None
+    return run_online_cell(
+        lambda: build_fabric(cell.topology),
+        lambda: make_scheduler(cell.scheduler, seed=cell.seed),
+        testbed_simulation_config(cell.seed),
+        seed=cell.seed,
+        **cell.online,
     )
 
 
 def run_cell(cell: CellConfig) -> dict[str, Any]:
     """Execute one cell from nothing but its config; return plain data.
 
-    Topology, workload, scheduler, fault timeline and simulation config are
-    all rebuilt fresh inside the call and seeded from ``cell.seed`` — the
-    function reads no global RNG and mutates no shared state, so the result
-    depends only on the config (and the code version), never on which
-    process or in which order the cell ran.
+    The arm's runner rebuilds topology, workload, scheduler, fault timeline
+    and simulation config fresh inside the call, all seeded from
+    ``cell.seed`` — it reads no global RNG and mutates no shared state, so
+    the result depends only on the config (and the code version), never on
+    which process or in which order the cell ran.
     """
-    topology = build_cell_topology(cell.topology)
-    jobs = build_cell_workload(cell)
-    if cell.arm == "static":
-        return run_static_cell(topology, jobs, cell.scheduler, seed=cell.seed)
-    config = SimulationConfig(
-        container_demand=Resources(1.0, 0.0),
-        map_slots_per_job=16,
-        seed=cell.seed,
-    )
-    if cell.arm == "chaos":
-        assert cell.chaos is not None
-        return run_chaos_cell(
-            lambda: build_cell_topology(cell.topology),
-            lambda: make_scheduler(cell.scheduler, seed=cell.seed),
-            lambda: build_cell_workload(cell),
-            config,
-            seed=cell.seed,
-            **cell.chaos,
-        )
-    if cell.arm == "online":
-        from .online import run_online_cell
-
-        assert cell.online is not None
-        return run_online_cell(
-            lambda: build_cell_topology(cell.topology),
-            lambda: make_scheduler(cell.scheduler, seed=cell.seed),
-            config,
-            seed=cell.seed,
-            **cell.online,
-        )
-    scheduler = make_scheduler(cell.scheduler, seed=cell.seed)
-    if cell.arm == "telemetry":
-        import dataclasses
-
-        run = run_telemetry_cell(
-            topology,
-            scheduler,
-            jobs,
-            dataclasses.replace(config, timeline_dt=_TELEMETRY_DT),
-        )
-        return {
-            "summary": {k: float(v) for k, v in run.metrics.summary().items()},
-            "segments": {k: float(v) for k, v in run.mean_segments.items()},
-            "counters": {k: int(v) for k, v in sorted(run.counters.items())},
-        }
-    timeline = _cell_timeline(cell, topology)
-    speculation = None
-    max_retries = 10
-    if cell.fault is not None:
-        max_retries = int(cell.fault["max_task_retries"])
-    if cell.speculation is not None:
-        s = cell.speculation
-        speculation = SpeculationConfig(quota=s["quota"], threshold=s["threshold"])
-    metrics, counters = run_fault_cell(
-        topology,
-        scheduler,
-        jobs,
-        config,
-        timeline=timeline,
-        speculation=speculation,
-        max_task_retries=max_retries,
-    )
-    return {
-        "summary": {k: float(v) for k, v in metrics.summary().items()},
-        "counters": {k: int(v) for k, v in sorted(counters.items())},
-    }
+    return _arm(cell.arm).run(cell)
 
 
 # -------------------------------------------------------------- the artifact
@@ -542,10 +459,8 @@ class SweepSpec:
         default_factory=lambda: dict(DEFAULT_ONLINE)
     )
 
-    _SECTIONS = (
-        "seeds", "schedulers", "topologies", "arms",
-        "workload", "fault", "speculation", "chaos", "online",
-    )
+    _AXES = ("seeds", "schedulers", "topologies", "arms")
+    _SECTIONS = (*_AXES, "workload", *SECTION_DEFAULTS)
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "SweepSpec":
@@ -557,39 +472,33 @@ class SweepSpec:
             )
         seeds = tuple(sorted({int(s) for s in raw.get("seeds", (0,))}))
         schedulers = tuple(sorted({str(s) for s in raw.get("schedulers", ())}))
-        if not schedulers:
-            raise ValueError("sweep spec needs at least one scheduler")
         for name in schedulers:
             make_scheduler(name)  # validate eagerly; raises on unknown names
         arms = tuple(sorted({str(a) for a in raw.get("arms", ("baseline",))}))
-        for arm in arms:
-            if arm not in ARMS:
-                raise ValueError(f"unknown arm {arm!r} (known: {ARMS})")
-        topologies = [
-            _normalize_topology(t) for t in raw.get("topologies", ("testbed",))
-        ]
-        topologies = tuple(
-            sorted(
-                {canonical_json(t): t for t in topologies}.values(),
-                key=canonical_json,
-            )
-        )
+        for name in arms:
+            _arm(name)
+        topologies = {
+            canonical_json(t): t
+            for t in map(normalize_fabric, raw.get("topologies", ("testbed",)))
+        }
+        axes = {
+            "seeds": seeds,
+            "schedulers": schedulers,
+            "topologies": tuple(topologies[k] for k in sorted(topologies)),
+            "arms": arms,
+        }
+        for axis, values in axes.items():
+            if not values:
+                raise ValueError(f"sweep spec axis {axis!r} is empty")
         return cls(
-            seeds=seeds,
-            schedulers=schedulers,
-            topologies=topologies,
-            arms=arms,
-            workload=_normalized(
+            **axes,
+            workload=normalize_params(
                 "workload", raw.get("workload", {}), DEFAULT_WORKLOAD
             ),
-            fault=_normalized("fault", raw.get("fault", {}), DEFAULT_FAULT),
-            speculation=_normalized(
-                "speculation", raw.get("speculation", {}), DEFAULT_SPECULATION
-            ),
-            chaos=_normalized("chaos", raw.get("chaos", {}), DEFAULT_CHAOS),
-            online=_normalized(
-                "online", raw.get("online", {}), DEFAULT_ONLINE
-            ),
+            **{
+                section: normalize_params(section, raw.get(section, {}), defaults)
+                for section, defaults in SECTION_DEFAULTS.items()
+            },
         )
 
     @classmethod
@@ -604,10 +513,7 @@ class SweepSpec:
             "topologies": [dict(t) for t in self.topologies],
             "arms": list(self.arms),
             "workload": dict(self.workload),
-            "fault": dict(self.fault),
-            "speculation": dict(self.speculation),
-            "chaos": dict(self.chaos),
-            "online": dict(self.online),
+            **{s: dict(getattr(self, s)) for s in SECTION_DEFAULTS},
         }
 
     def spec_hash(self) -> str:
@@ -622,40 +528,19 @@ class SweepSpec:
         shard assignment or resume history — it is the order the merge
         writes, which is what makes merged output byte-identical.
         """
-        out: list[CellConfig] = []
-        for seed in self.seeds:
-            for scheduler in self.schedulers:
-                for topology in self.topologies:
-                    for arm in self.arms:
-                        out.append(
-                            CellConfig(
-                                seed=seed,
-                                scheduler=scheduler,
-                                topology=dict(topology),
-                                arm=arm,
-                                workload=dict(self.workload),
-                                fault=(
-                                    dict(self.fault)
-                                    if arm in _FAULT_ARMS
-                                    else None
-                                ),
-                                speculation=(
-                                    dict(self.speculation)
-                                    if arm == "faults+speculation"
-                                    else None
-                                ),
-                                chaos=(
-                                    dict(self.chaos)
-                                    if arm == "chaos"
-                                    else None
-                                ),
-                                online=(
-                                    dict(self.online)
-                                    if arm == "online"
-                                    else None
-                                ),
-                            )
-                        )
+        out = [
+            CellConfig(
+                seed=seed,
+                scheduler=scheduler,
+                topology=dict(topology),
+                arm=name,
+                workload=dict(self.workload),
+                **{s: dict(getattr(self, s)) for s in ARMS[name].sections},
+            )
+            for seed, scheduler, topology, name in itertools.product(
+                self.seeds, self.schedulers, self.topologies, self.arms
+            )
+        ]
         return sorted(out, key=CellConfig.canonical)
 
 

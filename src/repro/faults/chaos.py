@@ -42,6 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..analysis.report import canonical_json
+from ..experiments.configs import FABRICS, build_fabric
 from ..experiments.contract import (
     Contract,
     plain_data,
@@ -54,11 +55,9 @@ from ..schedulers import make_scheduler
 from ..schedulers.base import Scheduler
 from ..simulator import MapReduceSimulator, RunOutcome, SimulationConfig
 from ..topology.base import Topology
-from ..topology.tree import TreeConfig, build_tree
 from .spec import FaultSpec, generate_timeline
 
 __all__ = [
-    "CHAOS_TOPOLOGIES",
     "ChaosConfig",
     "ChaosReport",
     "ChaosTrialResult",
@@ -71,16 +70,6 @@ __all__ = [
     "sample_chaos_timeline",
 ]
 
-#: Named fabrics the harness cycles through.  Both are redundancy-2 trees —
-#: single-element outages never partition them, so partition trials exercise
-#: the ``allow_partition`` path of the timeline sampler rather than tripping
-#: over an accidentally fragile fabric.
-CHAOS_TOPOLOGIES: dict[str, Callable[[], Topology]] = {
-    "small": lambda: build_tree(TreeConfig(depth=2, fanout=4, redundancy=2)),
-    "deep": lambda: build_tree(TreeConfig(depth=3, fanout=2, redundancy=2)),
-}
-
-
 @dataclass(frozen=True)
 class ChaosConfig:
     """Knobs of one chaos campaign."""
@@ -88,6 +77,9 @@ class ChaosConfig:
     trials: int = 50
     seed: int = 0
     schedulers: tuple[str, ...] = ("capacity", "hit")
+    #: Fabric registry names (:data:`repro.experiments.configs.FABRICS`);
+    #: the defaults are redundancy-2 trees, which single-element outages
+    #: never partition.
     topologies: tuple[str, ...] = ("small", "deep")
     jobs_per_trial: int = 3
     horizon: float = 4.0
@@ -105,11 +97,11 @@ class ChaosConfig:
             raise ValueError(f"trials must be positive, got {self.trials}")
         if not self.schedulers or not self.topologies:
             raise ValueError("need at least one scheduler and one topology")
-        unknown = [t for t in self.topologies if t not in CHAOS_TOPOLOGIES]
+        unknown = [t for t in self.topologies if t not in FABRICS]
         if unknown:
             raise ValueError(
                 f"unknown chaos topologies {unknown}; "
-                f"known: {sorted(CHAOS_TOPOLOGIES)}"
+                f"known: {sorted(FABRICS)}"
             )
 
     def to_dict(self) -> dict:
@@ -324,7 +316,7 @@ def run_chaos_trial(
     """Run one seeded trial (plus its determinism rerun) and grade it."""
     row, counters = chaos_trial(
         trial,
-        CHAOS_TOPOLOGIES[topology],
+        lambda: build_fabric(topology),
         lambda: make_scheduler(scheduler, seed=seed),
         lambda: WorkloadGenerator(
             seed=seed, input_size_range=(2.0, 4.0)

@@ -1,5 +1,9 @@
 """Pluggable scheduling strategies: Hit-Scheduler and the paper's baselines."""
 
+from typing import Callable
+
+from ..core.hit import HitConfig
+from ..core.rebalance import RebalanceConfig
 from .base import Scheduler, SchedulingContext
 from .capacity import CapacityScheduler
 from .ecmp import EcmpCapacityScheduler
@@ -17,32 +21,35 @@ __all__ = [
     "PNAScheduler",
     "RackPackScheduler",
     "RandomScheduler",
+    "SCHEDULERS",
+    "make_scheduler",
 ]
 
 
+def _hit_online(seed: int) -> Scheduler:
+    scheduler = HitScheduler(
+        HitConfig(seed=seed), online_rebalance=RebalanceConfig()
+    )
+    scheduler.name = "hit-online"
+    return scheduler
+
+
+#: Scheduler name -> ``factory(seed)``; the one list of names every harness
+#: and CLI choice reads.
+SCHEDULERS: dict[str, Callable[[int], Scheduler]] = {
+    "capacity": lambda seed: CapacityScheduler(),
+    "capacity-ecmp": lambda seed: EcmpCapacityScheduler(seed=seed),
+    "pna": lambda seed: PNAScheduler(seed=seed),
+    "hit": lambda seed: HitScheduler(HitConfig(seed=seed)),
+    "hit-online": _hit_online,
+    "random": lambda seed: RandomScheduler(seed=seed),
+    "rackpack": lambda seed: RackPackScheduler(),
+}
+
+
 def make_scheduler(name: str, seed: int = 0) -> Scheduler:
-    """Factory used by experiment harnesses: ``capacity`` | ``pna`` | ``hit``
-    | ``random`` | ``rackpack`` | ``hit-online`` | ``capacity-ecmp``."""
-    from ..core.hit import HitConfig
-
-    if name == "capacity":
-        return CapacityScheduler()
-    if name == "capacity-ecmp":
-        return EcmpCapacityScheduler(seed=seed)
-    if name == "pna":
-        return PNAScheduler(seed=seed)
-    if name == "hit":
-        return HitScheduler(HitConfig(seed=seed))
-    if name == "hit-online":
-        from ..core.rebalance import RebalanceConfig
-
-        scheduler = HitScheduler(
-            HitConfig(seed=seed), online_rebalance=RebalanceConfig()
-        )
-        scheduler.name = "hit-online"
-        return scheduler
-    if name == "random":
-        return RandomScheduler(seed=seed)
-    if name == "rackpack":
-        return RackPackScheduler()
-    raise ValueError(f"unknown scheduler {name!r}")
+    """A fresh scheduler by :data:`SCHEDULERS` name, seeded with ``seed``."""
+    factory = SCHEDULERS.get(name)
+    if factory is None:
+        raise ValueError(f"unknown scheduler {name!r}")
+    return factory(seed)

@@ -95,8 +95,10 @@ class TestFigureDrivers:
         assert configs.testbed_tree().num_servers == 64
         assert configs.case_study_tree().num_servers == 4
         assert configs.large_tree(num_servers=64).num_servers == 64
-        archs = configs.architectures_64()
+        archs = configs.ARCHITECTURES_64
         assert set(archs) == {"tree", "fat-tree", "vl2", "bcube"}
+        for fabric in archs.values():
+            assert configs.build_fabric(fabric).num_servers >= 54
 
     def test_testbed_workload_table1_mix(self):
         jobs = configs.testbed_workload(seed=0, num_jobs=30)

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.experiments.online import (
-    ONLINE_TOPOLOGIES,
     OnlineConfig,
     overload_campaign,
 )
@@ -46,7 +45,9 @@ def online_cell(**overrides) -> CellConfig:
 
 class TestOnlineConfig:
     def test_topologies_shared_with_chaos(self):
-        assert set(ONLINE_TOPOLOGIES) == {"small", "deep"}
+        from repro.faults.chaos import ChaosConfig
+
+        assert OnlineConfig().topologies == ChaosConfig().topologies
 
     @pytest.mark.parametrize("bad", [
         dict(multipliers=()),

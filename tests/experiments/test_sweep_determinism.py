@@ -10,6 +10,7 @@ Headline guarantees of :mod:`repro.experiments.sweep`:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -163,6 +164,46 @@ class TestConfigHashProperties:
         changed = full_cell_dict()
         mutate(changed)
         assert CellConfig.from_dict(changed).config_hash() != base
+
+    def test_cell_hashes_pinned_across_versions(self):
+        """Cell hashes are cache keys: a refactor that re-normalises any
+        existing topology, arm or section silently orphans every cached
+        artifact.  Pin the digest of a grid spanning every arm and fabric
+        parameterisation the sweep had before the fabric registry."""
+        spec = SweepSpec.from_dict({
+            "seeds": [0, 1],
+            "schedulers": ["capacity", "hit", "pna"],
+            "topologies": [
+                "testbed", "large64", "large512", "mini",
+                {"name": "mini", "fanout": 3, "slots": 2},
+            ],
+            "arms": [
+                "baseline", "chaos", "faults", "faults+speculation",
+                "online", "static", "telemetry",
+            ],
+        })
+        cells = spec.cells()
+        assert len(cells) == 210
+        assert spec.spec_hash() == (
+            "b5a52c61af0b39c980ba9917e4d57423185baeae941c96500a62924866a11aa6"
+        )
+        digest = hashlib.sha256(
+            "\n".join(c.config_hash() for c in cells).encode("utf-8")
+        ).hexdigest()
+        assert digest == (
+            "2c83b1423daec1acabab70c53add4fad3fd1a10166716459eefa2855754b0ba1"
+        )
+
+    @pytest.mark.parametrize(
+        "axis", ["seeds", "schedulers", "topologies", "arms"]
+    )
+    def test_empty_axis_rejected(self, axis):
+        """An empty axis is a zero-cell grid: it would merge to an empty
+        report and exit 0, so it is a spec error instead."""
+        raw = mini_spec_dict()
+        raw[axis] = []
+        with pytest.raises(ValueError, match=f"axis '{axis}' is empty"):
+            SweepSpec.from_dict(raw)
 
     def test_unknown_fields_rejected_not_ignored(self):
         """A typo'd knob must fail loudly: silently dropping it would make

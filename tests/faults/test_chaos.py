@@ -10,8 +10,8 @@ import json
 
 import pytest
 
+from repro.experiments.configs import build_fabric
 from repro.faults.chaos import (
-    CHAOS_TOPOLOGIES,
     ChaosConfig,
     ChaosReport,
     ChaosTrialResult,
@@ -44,6 +44,21 @@ class TestSurvivabilityCampaign:
             fired.update(t.counters)
         assert "faults.link_fail" in fired or "faults.link_degrade" in fired
         assert "faults.domain_fail" in fired
+
+    def test_multipath_fabrics_zero_violations(self):
+        """Fat-tree and VL2 reroute around outages over many equal-cost
+        paths, unlike the default redundancy-2 trees; the contract must
+        hold there too."""
+        report = run_chaos(
+            ChaosConfig(trials=16, seed=0, topologies=("fattree", "fig8b-vl2"))
+        )
+        per_fabric = {}
+        for t in report.trials:
+            per_fabric[t.topology] = per_fabric.get(t.topology, 0) + 1
+        assert per_fabric == {"fattree": 8, "fig8b-vl2": 8}
+        assert report.violations == [], [
+            (t.trial, t.violations) for t in report.violations
+        ]
 
     def test_report_canonical_and_stable(self):
         a = run_chaos(ChaosConfig(trials=4, seed=7, rerun=False))
@@ -114,13 +129,13 @@ class TestWatchdogAndFailures:
 
 class TestTimelineSampling:
     def test_deterministic(self):
-        topo = CHAOS_TOPOLOGIES["small"]()
+        topo = build_fabric("small")
         a = sample_chaos_timeline(topo, seed=12)
         b = sample_chaos_timeline(topo, seed=12)
         assert a == b
 
     def test_seeds_vary_fault_mix(self):
-        topo = CHAOS_TOPOLOGIES["small"]()
+        topo = build_fabric("small")
         mixes = {
             frozenset(s.kind for s in sample_chaos_timeline(topo, seed=seed))
             for seed in range(12)

@@ -12,8 +12,8 @@ import dataclasses
 
 import pytest
 
+from repro.experiments.configs import build_fabric
 from repro.experiments.online import (
-    ONLINE_TOPOLOGIES,
     build_arrival_plan,
     online_fingerprint,
     online_record,
@@ -123,7 +123,7 @@ def test_record_stream_well_formed():
 
 def _online_run(provenance):
     seed = 1
-    topology = ONLINE_TOPOLOGIES["small"]()
+    topology = build_fabric("small")
     plan = build_arrival_plan(
         topology, multiplier=1.5, tenants=2, profile="poisson", duration=2.0
     )
@@ -135,7 +135,7 @@ def _online_run(provenance):
         provenance=provenance,
     )
     sim = MapReduceSimulator(
-        ONLINE_TOPOLOGIES["small"](),
+        build_fabric("small"),
         make_scheduler("hit-online", seed=seed),
         jobs,
         config,

@@ -1,10 +1,14 @@
 """CLI smoke and behaviour tests (everything runs in-process)."""
 
+import argparse
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.configs import FABRICS
+from repro.experiments.sweep import ARMS
+from repro.schedulers import SCHEDULERS
 
 
 class TestParser:
@@ -19,6 +23,33 @@ class TestParser:
     def test_scheduler_choices_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--scheduler", "fifo"])
+
+    def test_choices_equal_registry_keys(self):
+        """Scheduler, fabric and arm names are declared once, in their
+        registries; every parser offering them reads that registry."""
+        parser = build_parser()
+        (commands,) = (
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        expected = {
+            ("topology", "kind"): FABRICS,
+            ("simulate", "scheduler"): SCHEDULERS,
+            ("optimize", "scheduler"): SCHEDULERS,
+            ("sweep", "schedulers"): SCHEDULERS,
+            ("sweep", "topologies"): FABRICS,
+            ("sweep", "arms"): ARMS,
+            ("chaos", "schedulers"): SCHEDULERS,
+            ("chaos", "topologies"): FABRICS,
+            ("online", "scheduler"): SCHEDULERS,
+            ("online", "topology"): FABRICS,
+        }
+        for (command, dest), registry in expected.items():
+            (action,) = (
+                a for a in commands.choices[command]._actions
+                if a.dest == dest
+            )
+            assert set(action.choices) == set(registry), (command, dest)
 
 
 class TestTopologyCommand:

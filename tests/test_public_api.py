@@ -43,10 +43,9 @@ def test_version_string():
 
 def test_scheduler_factory_covers_cli_choices():
     """Every scheduler the CLI offers must be constructible."""
-    from repro.cli import SCHEDULER_CHOICES
-    from repro.schedulers import make_scheduler
+    from repro.schedulers import SCHEDULERS, make_scheduler
 
-    for name in SCHEDULER_CHOICES:
+    for name in SCHEDULERS:
         scheduler = make_scheduler(name, seed=0)
         assert scheduler is not None
 
