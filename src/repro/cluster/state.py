@@ -10,7 +10,7 @@ preference construction and the stable-matching assignment consume.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import AbstractSet, Iterable, Iterator, Optional
 
 from ..topology.base import Topology
 from .container import Container
@@ -25,6 +25,12 @@ class ClusterState:
     The class owns the containers (keyed by id) and maintains, per server,
     the multiset of hosted containers plus a cached residual-resource vector
     so feasibility checks are O(1).
+
+    Containers are never removed: a finished task's container is unplaced
+    but stays registered, so :meth:`containers` grows with the run's
+    history.  Code that runs once per scheduling wave must reach state
+    through per-container and per-server accessors (:meth:`container`,
+    :meth:`hosted_on`, :meth:`load_excluding`), never by scanning it.
     """
 
     def __init__(self, topology: Topology) -> None:
@@ -90,6 +96,21 @@ class ClusterState:
         """Container ids hosted on a server — the paper's ``A(s_j)``."""
         return tuple(sorted(self._hosted[server_id]))
 
+    def load_excluding(
+        self, server_id: int, excluded: AbstractSet[int]
+    ) -> Resources:
+        """Demand on a server from its containers outside ``excluded``.
+
+        Summed in ascending container id order, so the float result does
+        not depend on placement history.  Costs one pass over the server's
+        own containers, never the whole cluster.
+        """
+        total = Resources.zero()
+        for cid in self.hosted_on(server_id):
+            if cid not in excluded:
+                total = total + self._containers[cid].demand
+        return total
+
     def num_hosted(self, server_id: int) -> int:
         """``len(hosted_on(server_id))`` without sorting the ids."""
         return len(self._hosted[server_id])
@@ -135,19 +156,22 @@ class ClusterState:
     # ------------------------------------------------------------- occupancy
     def total_capacity(self) -> Resources:
         """Aggregate capacity of the *live* (non-failed) servers."""
-        total = Resources.zero()
-        for sid, capacity in self._capacity.items():
-            if sid not in self._failed:
-                total = total + capacity
-        return total
+        return self._live_sum(self._capacity)
 
     def total_used(self) -> Resources:
         """Aggregate usage on the live servers."""
-        total = Resources.zero()
-        for sid, used in self._used.items():
+        return self._live_sum(self._used)
+
+    def _live_sum(self, per_server: dict[int, Resources]) -> Resources:
+        # Component floats accumulated left to right in server order, with
+        # no intermediate vectors.  (Not ``sum()``: from Python 3.12 it
+        # compensates float rounding, which would change the last ulp.)
+        memory = vcores = 0.0
+        for sid, resources in per_server.items():
             if sid not in self._failed:
-                total = total + used
-        return total
+                memory += resources.memory
+                vcores += resources.vcores
+        return Resources(memory, vcores)
 
     def occupancy(self) -> float:
         """Fraction of live cluster capacity in use, in ``[0, 1]``.

@@ -49,6 +49,8 @@ class HitResult:
     """Outcome of an optimisation: per-round cost trace and final placement."""
 
     cost_trace: list[float]
+    #: ``{container_id: server_id}`` over the containers the wave treated
+    #: (every container when the optimiser ran unscoped).
     placement: dict[int, int | None]
     matchings: list[MatchingResult] = field(default_factory=list)
 
@@ -104,21 +106,28 @@ class HitOptimizer:
         subset; by default every unplaced container is treated.
         """
         cluster = self.taa.cluster
-        targets = cluster.unplaced_containers()
-        if container_ids is not None:
-            allowed = set(container_ids)
-            targets = [c for c in targets if c.container_id in allowed]
-        for container in targets:
+        for cid in self._scope(container_ids):
+            if cluster.container(cid).is_placed:
+                continue
             servers = list(cluster.server_ids)
             self._rng.shuffle(servers)
             for sid in servers:
-                if cluster.fits(container.container_id, sid):
-                    cluster.place(container.container_id, sid)
+                if cluster.fits(cid, sid):
+                    cluster.place(cid, sid)
                     break
             else:
-                raise RuntimeError(
-                    f"no server can host container {container.container_id}"
-                )
+                raise RuntimeError(f"no server can host container {cid}")
+
+    def _scope(self, container_ids: list[int] | None) -> list[int]:
+        """The containers a wave treats, in ascending id order: the given
+        subset, or every container of the cluster when ``None``."""
+        if container_ids is None:
+            return [c.container_id for c in self.taa.cluster.containers()]
+        return sorted(set(container_ids))
+
+    def _snapshot(self, scope: list[int]) -> dict[int, int | None]:
+        cluster = self.taa.cluster
+        return {cid: cluster.container(cid).server_id for cid in scope}
 
     def _apply_assignment(self, matching: MatchingResult) -> bool:
         """Re-pack the cluster according to a matching.
@@ -195,23 +204,25 @@ class HitOptimizer:
         ``container_ids`` restricts the optimisation to a subset of
         containers (e.g. one newly arrived job in a busy cluster); containers
         outside the subset are never moved, and their resource usage and
-        switch loads constrain the optimisation.
+        switch loads constrain the optimisation.  Every step — placement
+        snapshots, the restore of the best placement and the returned
+        ``placement`` — then touches only the subset, so a wave costs the
+        same however many containers the cluster has accumulated.
         """
         taa = self.taa
-        if taa.cluster.unplaced_containers():
-            self.random_initial_placement(container_ids)
+        cluster = taa.cluster
+        scope = self._scope(container_ids)
+        self.random_initial_placement(scope)
         taa.install_all_policies()
         best_cost = taa.total_shuffle_cost()
-        best_placement = taa.cluster.placement_snapshot()
+        best_placement = self._snapshot(scope)
         trace = [best_cost]
         matchings: list[MatchingResult] = []
 
-        reduce_ids = [c.container_id for c in taa.reduce_containers()]
-        map_ids = [c.container_id for c in taa.map_containers()]
-        if container_ids is not None:
-            allowed = set(container_ids)
-            reduce_ids = [cid for cid in reduce_ids if cid in allowed]
-            map_ids = [cid for cid in map_ids if cid in allowed]
+        reduce_ids = [
+            cid for cid in scope if cluster.container(cid).hosts_reduce
+        ]
+        map_ids = [cid for cid in scope if cluster.container(cid).hosts_map]
         sides = [reduce_ids, map_ids]
         stale_sweeps = 0
         # Sweep-to-sweep reuse: each side keeps its last preference matrix
@@ -257,7 +268,7 @@ class HitOptimizer:
                         previous=previous,
                     )
                     side_matrices[side_idx] = (side_key, state_key, preferences)
-                matching = stable_match(preferences, taa.cluster)
+                matching = stable_match(preferences, cluster)
                 matchings.append(matching)
                 if self._apply_assignment(matching):
                     placement_epoch += 1
@@ -268,7 +279,7 @@ class HitOptimizer:
                 _OBS.checker.check_taa(taa, where=f"hit.sweep[{round_idx}]")
             if cost < best_cost * (1 - self.config.tolerance):
                 best_cost = cost
-                best_placement = taa.cluster.placement_snapshot()
+                best_placement = self._snapshot(scope)
                 stale_sweeps = 0
             else:
                 stale_sweeps += 1
@@ -276,17 +287,18 @@ class HitOptimizer:
                     break
 
         # Restore the best placement seen (a later sweep may have regressed).
-        if taa.cluster.placement_snapshot() != best_placement:
+        if self._snapshot(scope) != best_placement:
             self._restore(best_placement)
             taa.install_all_policies()
         trace.append(taa.total_shuffle_cost())
         return HitResult(
             cost_trace=trace,
-            placement=taa.cluster.placement_snapshot(),
+            placement=self._snapshot(scope),
             matchings=matchings,
         )
 
     def _restore(self, placement: dict[int, int | None]) -> None:
+        """Put the snapshot's containers back; nothing else moves."""
         cluster = self.taa.cluster
         for cid in placement:
             if cluster.container(cid).is_placed:
@@ -344,5 +356,5 @@ class HitOptimizer:
         final = taa.total_shuffle_cost()
         return HitResult(
             cost_trace=[final],
-            placement=cluster.placement_snapshot(),
+            placement=self._snapshot(self._scope(map_container_ids)),
         )

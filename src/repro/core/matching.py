@@ -73,21 +73,8 @@ def stable_match(
     need to handle unmatched containers.
     """
     container_ids = list(preferences.container_ids)
-    server_index = preferences.server_index
     in_matrix = set(container_ids)
     zero = Resources.zero()
-
-    # Containers outside this matching round (e.g. the fixed side of an
-    # alternating sweep) keep occupying their servers: charge their demand
-    # up-front so the matching never oversubscribes around them.  Only the
-    # servers that host one get an entry.
-    fixed_used: dict[int, Resources] = {}
-    for other in cluster.containers():
-        sid = other.server_id
-        if other.container_id in in_matrix or sid is None:
-            continue
-        if sid in server_index:
-            fixed_used[sid] = fixed_used.get(sid, zero) + other.demand
 
     # Container-side preference lists and cursors.
     pref_lists: dict[int, list[int]] = {
@@ -130,7 +117,13 @@ def stable_match(
                 continue
             proposals += 1
             if s not in capacity:
-                capacity[s] = cluster.capacity(s) - fixed_used.get(s, zero)
+                # Containers outside this matching round (e.g. the fixed
+                # side of an alternating sweep) keep occupying s: charge
+                # their demand up-front so the matching never
+                # oversubscribes around them.
+                capacity[s] = cluster.capacity(s) - cluster.load_excluding(
+                    s, in_matrix
+                )
                 accepted[s] = set()
             # Tentatively accept, then evict least-preferred until feasible.
             hosted = accepted[s]
@@ -197,18 +190,21 @@ def find_blocking_pairs(
     server_ids = list(preferences.server_ids)
     demand = {c: cluster.container(c).demand for c in container_ids}
 
-    used: dict[int, Resources] = {s: Resources.zero() for s in server_ids}
-    accepted: dict[int, list[int]] = {s: [] for s in server_ids}
-    in_matrix = set(container_ids)
-    for other in cluster.containers():
-        # Fixed containers occupy space but are never evictable.
-        if other.container_id in in_matrix or other.server_id is None:
-            continue
-        if other.server_id in used:
-            used[other.server_id] = used[other.server_id] + other.demand
+    accepted: dict[int, list[int]] = {}
     for c, s in result.assignment.items():
-        used[s] = used[s] + demand[c]
-        accepted[s].append(c)
+        accepted.setdefault(s, []).append(c)
+    in_matrix = set(container_ids)
+    residuals: dict[int, Resources] = {}
+
+    def residual_of(s: int) -> Resources:
+        # Fixed containers occupy space but are never evictable; memoised
+        # per server, built only for servers some container prefers.
+        if s not in residuals:
+            used = cluster.load_excluding(s, in_matrix)
+            for a in accepted.get(s, ()):
+                used = used + demand[a]
+            residuals[s] = cluster.capacity(s) - used
+        return residuals[s]
 
     sidx = preferences.server_index
     cidx = preferences.container_index
@@ -232,12 +228,12 @@ def find_blocking_pairs(
             rank_c = int(ranks[j])
             if rank_c >= num_containers:
                 continue  # infeasible on s (sentinel rank)
-            residual = cluster.capacity(s) - used[s]
+            residual = residual_of(s)
             if demand[c].fits_in(residual):
                 blocking.append((c, s))
                 continue
             # Would evicting strictly-worse tenants make room?
-            worse = [a for a in accepted[s] if ranks[cidx[a]] > rank_c]
+            worse = [a for a in accepted.get(s, ()) if ranks[cidx[a]] > rank_c]
             freed = residual
             for a in sorted(worse, key=lambda x: -int(ranks[cidx[x]])):
                 freed = freed + demand[a]

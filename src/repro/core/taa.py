@@ -284,13 +284,6 @@ class TAAInstance:
                 f"TAA instance has {len(violations)} constraint violations: {summary}"
             )
 
-    # ----------------------------------------------------------- conveniences
-    def map_containers(self) -> list[Container]:
-        return [c for c in self.cluster.containers() if c.hosts_map]
-
-    def reduce_containers(self) -> list[Container]:
-        return [c for c in self.cluster.containers() if c.hosts_reduce]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TAAInstance(containers={self.num_containers}, "

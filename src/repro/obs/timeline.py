@@ -230,9 +230,9 @@ class TimelineRecorder:
             link_util=network.utilisation(self._link_res),
             server_occupancy=occupancy,
             running_containers=running,
-            queue_depth=len(sim._queue),
+            queue_depth=sim.queue_depth,
             active_flows=network.num_active_flows,
-            parked_flows=len(sim._parked),
+            parked_flows=sim.parked_flows,
             gauges=gauges,
         )
         self.total_samples += 1

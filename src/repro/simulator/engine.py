@@ -475,6 +475,16 @@ class MapReduceSimulator:
                     )
         return self.metrics
 
+    @property
+    def queue_depth(self) -> int:
+        """Events waiting in the event queue."""
+        return len(self._queue)
+
+    @property
+    def parked_flows(self) -> int:
+        """Flows parked until a failed element on their path recovers."""
+        return len(self._parked)
+
     def outcome(self) -> RunOutcome:
         """What the run left behind, for contract graders."""
         outcome = RunOutcome(
@@ -483,7 +493,7 @@ class MapReduceSimulator:
             rejection_records=len(self.metrics.rejections),
             worst_retries=max(self._retries.values(), default=0),
             retry_budget=self.config.max_task_retries,
-            parked_flows=len(self._parked),
+            parked_flows=self.parked_flows,
             events=self.events_processed,
         )
         admission = self.admission
@@ -684,17 +694,22 @@ class MapReduceSimulator:
     # ------------------------------------------------------------- admission
     def _free_slots(self) -> int:
         demand = self.config.container_demand
+        cluster = self.cluster
         slots = 0
-        for sid in self.cluster.server_ids:
-            if self.cluster.is_failed(sid):
+        for sid in cluster.server_ids:
+            if cluster.is_failed(sid):
                 continue
-            residual = self.cluster.residual(sid)
+            # Residual components read directly (clamped at zero like
+            # ``Resources.__sub__``), without building a vector per server.
+            capacity, used = cluster.capacity(sid), cluster.used(sid)
             if demand.memory > 0:
-                by_mem = int(residual.memory // demand.memory)
+                free_mem = max(capacity.memory - used.memory, 0.0)
+                by_mem = int(free_mem // demand.memory)
             else:
                 by_mem = self.topology.num_servers * 1000
             if demand.vcores > 0:
-                by_cpu = int(residual.vcores // demand.vcores)
+                free_cpu = max(capacity.vcores - used.vcores, 0.0)
+                by_cpu = int(free_cpu // demand.vcores)
             else:
                 by_cpu = by_mem
             slots += min(by_mem, by_cpu)

@@ -114,11 +114,6 @@ class TestConstraints:
         with pytest.raises(AssertionError, match="constraint violations"):
             taa.assert_feasible()
 
-    def test_container_kind_selectors(self, small_tree):
-        taa, map_ids, reduce_ids = make_taa(small_tree)
-        assert [c.container_id for c in taa.map_containers()] == map_ids
-        assert [c.container_id for c in taa.reduce_containers()] == reduce_ids
-
     def test_shared_cluster_wrapping(self, small_tree):
         """A planning instance over an existing cluster sees its containers."""
         taa1, map_ids, reduce_ids = make_taa(small_tree)

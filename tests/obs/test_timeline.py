@@ -284,6 +284,10 @@ def test_samples_equal_dict_construction_under_faults(monkeypatch):
         for name in ("running_containers", "queue_depth", "active_flows",
                      "parked_flows", "gauges"):
             assert getattr(got, name) == getattr(expected, name), (t, name)
+        # The recorder reads the engine's public gauges, not its privates.
+        assert (got.queue_depth, got.parked_flows) == (
+            sim.queue_depth, sim.parked_flows
+        ), t
         network = sim.network
         assert _exact(network.utilisation_by_switch()) == _exact(
             _reference_by_switch(network)
