@@ -211,11 +211,15 @@ class HitOptimizer:
         """
         taa = self.taa
         cluster = taa.cluster
+        controller = taa.controller
         scope = self._scope(container_ids)
         self.random_initial_placement(scope)
         taa.install_all_policies()
         best_cost = taa.total_shuffle_cost()
         best_placement = self._snapshot(scope)
+        # The routes installed for the best placement.  Only the placement
+        # changes inside a wave, so restoring them equals re-routing it.
+        best_routes = controller.snapshot_routes()
         trace = [best_cost]
         matchings: list[MatchingResult] = []
 
@@ -247,7 +251,7 @@ class HitOptimizer:
                 "hit.sweep", round=round_idx, containers=len(side)
             ):
                 side_key = tuple(side)
-                state_key = (taa.controller.load_version, placement_epoch)
+                state_key = (controller.load_version, placement_epoch)
                 cached = side_matrices.get(side_idx)
                 if (
                     cached is not None
@@ -280,6 +284,7 @@ class HitOptimizer:
             if cost < best_cost * (1 - self.config.tolerance):
                 best_cost = cost
                 best_placement = self._snapshot(scope)
+                best_routes = controller.snapshot_routes()
                 stale_sweeps = 0
             else:
                 stale_sweeps += 1
@@ -289,7 +294,7 @@ class HitOptimizer:
         # Restore the best placement seen (a later sweep may have regressed).
         if self._snapshot(scope) != best_placement:
             self._restore(best_placement)
-            taa.install_all_policies()
+            controller.restore_routes(best_routes)
         trace.append(taa.total_shuffle_cost())
         return HitResult(
             cost_trace=trace,

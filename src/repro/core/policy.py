@@ -25,14 +25,20 @@ and the congestion term only breaks ties toward less-loaded switches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ..mapreduce.shuffle import ShuffleFlow
 from ..obs.runtime import STATE as _OBS
 from ..topology.base import Tier, Topology
-from ..topology.routing import enumerate_paths, plan_endpoints, route_plan
+from ..topology.routing import (
+    RoutePlan,
+    attach_table,
+    enumerate_paths,
+    route_plan,
+    route_plans,
+)
 
 __all__ = ["Policy", "CostModel", "PolicyController", "NoFeasiblePathError"]
 
@@ -42,6 +48,22 @@ _INF = float("inf")
 def _link_key(u: int, v: int) -> tuple[int, int]:
     """Canonical (min, max) key of an undirected physical link."""
     return (u, v) if u <= v else (v, u)
+
+
+#: The controller attributes an install writes (plus ``last_route``):
+#: what :meth:`PolicyController.snapshot_routes` copies.
+_ROUTE_STATE = (
+    "_policies",
+    "_flow_rates",
+    "_capacitated",
+    "_load",
+    "_base_load",
+    "_flows_on",
+    "_cap_load",
+    "_cap_flows_on",
+    "_cost_arr",
+    "_headroom",
+)
 
 
 class NoFeasiblePathError(RuntimeError):
@@ -164,29 +186,38 @@ class PolicyController:
         # see link faults pay nothing.
         self._failed_links: set[tuple[int, int]] = set()
         self._failed_link_mask: np.ndarray | None = None
-        # Node-indexed mirrors of the `_load`/`_base_load` dicts (servers
-        # stay 0.0) plus the static per-node cost-model terms, so the DP can
-        # gather whole stages without per-node dict/attribute chasing.  The
-        # dicts remain the canonical accounting; mirrors are re-assigned from
-        # them after every mutation.
+        # Static per-node tables, as plain Python values so the bookkeeping
+        # loops (make_policy, assign, release, _reprice, policy_cost) never
+        # call back into the topology or read NumPy scalars: whether a node
+        # is a switch, its type, its tier base cost and its capacity.
         n = topology.num_nodes
-        self._load_arr = np.zeros(n, dtype=np.float64)
-        self._base_arr = np.zeros(n, dtype=np.float64)
-        self._switch_mask = np.zeros(n, dtype=bool)
-        self._cost_base = np.zeros(n, dtype=np.float64)
-        self._switch_cap = np.zeros(n, dtype=np.float64)
+        self._is_switch = [False] * n
+        self._type_of: list[str | None] = [None] * n
+        self._base_cost = [0.0] * n
+        self._capacity = [0.0] * n
         cm = self.cost_model
         for w in topology.switch_ids:
             switch = topology.switch(w)
-            self._switch_mask[w] = True
-            self._cost_base[w] = cm.unit_cost * cm.tier_weights.get(switch.tier, 1.0)
-            self._switch_cap[w] = switch.capacity
-        # Per-node traversal cost under *current* loads, maintained
-        # incrementally: only the switches a mutation touches are re-priced,
-        # so cost queries (the DP stage gathers, path_cost) never rebuild
-        # per-node costs from the load dicts.  Failed switches keep their
-        # finite price here — the infinite mask is applied at gather time.
-        self._cost_arr = self._cost_base.copy()
+            self._is_switch[w] = True
+            self._type_of[w] = switch.switch_type
+            self._base_cost[w] = float(
+                cm.unit_cost * cm.tier_weights.get(switch.tier, 1.0)
+            )
+            self._capacity[w] = float(switch.capacity)
+        # Per-node traversal cost and capacity headroom ``capacity - (load +
+        # base)`` under *current* loads, maintained incrementally: only the
+        # switches a mutation touches are re-priced, so the DP gathers both
+        # without rebuilding anything from the load dicts.  Servers cost 0.0
+        # and have infinite headroom.  Failed switches keep their finite
+        # price here — the infinite mask is applied at gather time.
+        self._cost_arr = np.array(self._base_cost, dtype=np.float64)
+        self._headroom = np.full(n, _INF, dtype=np.float64)
+        self._reprice(topology.switch_ids)
+        # The route plans and the server attach table of this topology,
+        # looked up once rather than through the per-topology memos on
+        # every route.
+        self._plans = route_plans(topology)
+        self._attach = attach_table(topology)
 
     @property
     def load_version(self) -> int:
@@ -227,21 +258,23 @@ class PolicyController:
         return loads
 
     def _reprice(self, switches: Iterable[int]) -> None:
-        """Refresh ``_cost_arr`` for the switches whose load just changed.
+        """Refresh ``_headroom`` and ``_cost_arr`` for the switches whose
+        load just changed.
 
-        The scalar expression mirrors :meth:`CostModel.switch_cost` (and the
-        vectorised form it replaced) operation for operation, so the stored
-        floats stay bit-identical to a from-scratch pricing.
+        The price mirrors :meth:`CostModel.switch_cost` operation for
+        operation, and the headroom is :meth:`residual`'s expression, so the
+        stored floats stay bit-identical to a from-scratch pricing.
         """
         cw = self.cost_model.congestion_weight
-        if cw <= 0:
-            return
+        load, base = self._load, self._base_load
+        capacity, base_cost = self._capacity, self._base_cost
+        headroom, cost = self._headroom, self._cost_arr
         for w in switches:
-            cap = self._switch_cap[w]
-            if cap > 0:
-                self._cost_arr[w] = self._cost_base[w] + cw * (
-                    (self._load_arr[w] + self._base_arr[w]) / cap
-                )
+            total = load[w] + base[w]
+            cap = capacity[w]
+            headroom[w] = cap - total
+            if cw > 0 and cap > 0:
+                cost[w] = base_cost[w] + cw * (total / cap)
 
     def set_base_load(self, switch_id: int, rate: float) -> None:
         """External (background) load on a switch.
@@ -252,7 +285,6 @@ class PolicyController:
         if rate < 0:
             raise ValueError("base load must be non-negative")
         self._base_load[switch_id] = rate
-        self._base_arr[switch_id] = rate
         self._reprice((switch_id,))
         self._load_version += 1
 
@@ -260,14 +292,13 @@ class PolicyController:
         """Copy another controller's *total* loads in as base load."""
         for w in self.topology.switch_ids:
             self._base_load[w] = other.load(w)
-            self._base_arr[w] = self._base_load[w]
         self._reprice(self.topology.switch_ids)
         self._load_version += 1
 
     def residual(self, switch_id: int) -> float:
         if switch_id in self._failed_switches:
             return float("-inf")
-        return self.topology.switch(switch_id).capacity - self.load(switch_id)
+        return self._capacity[switch_id] - self.load(switch_id)
 
     # --------------------------------------------------------- failure state
     @property
@@ -395,7 +426,7 @@ class PolicyController:
             w
             for w in self.topology.switch_ids
             if w != current
-            and self.topology.switch(w).switch_type == required_type
+            and self._type_of[w] == required_type
             and self.residual(w) >= rate
         ]
 
@@ -411,17 +442,20 @@ class PolicyController:
         """
         if flow.flow_id in self._policies:
             self.release(flow.flow_id)
-        for w in policy.switch_list:
-            self._load[w] += flow.rate
-            self._load_arr[w] = self._load[w]
-            self._flows_on[w] += 1
-        self._reprice(policy.switch_list)
+        rate = flow.rate
+        switch_list = policy.switch_list
+        load, flows_on = self._load, self._flows_on
+        for w in switch_list:
+            load[w] += rate
+            flows_on[w] += 1
+        self._reprice(switch_list)
         self._load_version += 1
         if capacitated:
             self._capacitated.add(flow.flow_id)
-            for w in policy.switch_list:
-                self._cap_load[w] += flow.rate
-                self._cap_flows_on[w] += 1
+            cap_load, cap_flows_on = self._cap_load, self._cap_flows_on
+            for w in switch_list:
+                cap_load[w] += rate
+                cap_flows_on[w] += 1
         self._policies[flow.flow_id] = policy
         self._flow_rates[flow.flow_id] = flow.rate
         if _OBS.enabled:
@@ -447,21 +481,22 @@ class PolicyController:
         capacitated = flow_id in self._capacitated
         if capacitated:
             self._capacitated.discard(flow_id)
+        load, flows_on = self._load, self._flows_on
+        cap_load, cap_flows_on = self._cap_load, self._cap_flows_on
         for w in policy.switch_list:
-            self._flows_on[w] -= 1
-            if self._flows_on[w] <= 0:
-                self._flows_on[w] = 0
-                self._load[w] = 0.0
+            flows_on[w] -= 1
+            if flows_on[w] <= 0:
+                flows_on[w] = 0
+                load[w] = 0.0
             else:
-                self._load[w] = max(self._load[w] - rate, 0.0)
-            self._load_arr[w] = self._load[w]
+                load[w] = max(load[w] - rate, 0.0)
             if capacitated:
-                self._cap_flows_on[w] -= 1
-                if self._cap_flows_on[w] <= 0:
-                    self._cap_flows_on[w] = 0
-                    self._cap_load[w] = 0.0
+                cap_flows_on[w] -= 1
+                if cap_flows_on[w] <= 0:
+                    cap_flows_on[w] = 0
+                    cap_load[w] = 0.0
                 else:
-                    self._cap_load[w] = max(self._cap_load[w] - rate, 0.0)
+                    cap_load[w] = max(cap_load[w] - rate, 0.0)
         self._reprice(policy.switch_list)
         self._load_version += 1
         if _OBS.enabled:
@@ -477,35 +512,43 @@ class PolicyController:
             self._cap_load[w] = 0.0
             self._flows_on[w] = 0
             self._cap_flows_on[w] = 0
-        self._load_arr[:] = 0.0
         self._reprice(self.topology.switch_ids)
+        self._load_version += 1
+
+    def snapshot_routes(self) -> dict[str, Any]:
+        """The installed routing state: every policy and flow rate, and every
+        load, flow count, price and headroom they determine.
+        :meth:`restore_routes` puts it back."""
+        state: dict[str, Any] = {
+            name: getattr(self, name).copy() for name in _ROUTE_STATE
+        }
+        state["last_route"] = self.last_route
+        return state
+
+    def restore_routes(self, snapshot: dict[str, Any]) -> None:
+        """Reinstate a :meth:`snapshot_routes` state and bump
+        :attr:`load_version`.
+
+        Routing is a pure function of the placement, the base loads, the
+        failure sets and the cost model.  While the failure sets and the
+        cost model are those of the snapshot, restoring it therefore leaves
+        exactly the state that re-routing the snapshot's placement would.
+        """
+        for name in _ROUTE_STATE:
+            setattr(self, name, snapshot[name].copy())
+        self.last_route = snapshot["last_route"]
         self._load_version += 1
 
     # --------------------------------------------------------- cost queries
     def path_cost(self, path: Sequence[int], rate: float) -> float:
         """Cost of carrying ``rate`` along a node path under current loads."""
         arr = self._cost_arr
-        mask = self._switch_mask
+        is_switch = self._is_switch
         total = 0.0
         for n in path:
-            if mask[n]:
+            if is_switch[n]:
                 total += arr[n]
         return float(rate * total)
-
-    def node_cost_vector(self, nodes: np.ndarray) -> np.ndarray:
-        """Per-node traversal costs under current loads.
-
-        A gather from the incrementally-maintained ``_cost_arr`` — element
-        for element exactly what :meth:`CostModel.switch_cost` returns
-        (servers contribute 0.0), with failed switches priced infinite.
-        """
-        costs = self._cost_arr[nodes]
-        if self._failed_switches:
-            # Dead switches are unroutable at any price — pricing them
-            # infinite makes every DP (capacitated or not) route around
-            # them, and leaves unreachable destinations at cost inf.
-            costs[self._failed_mask[nodes]] = _INF
-        return costs
 
     def all_node_costs(self) -> np.ndarray:
         """Traversal-cost vector over every node id (the batched solver's
@@ -524,12 +567,19 @@ class PolicyController:
         policy = self._policies.get(flow.flow_id)
         if policy is None:
             raise KeyError(f"flow {flow.flow_id} has no policy")
+        # CostModel.switch_cost at load ``self.load(w) - rate``, read from
+        # the per-node tables.
+        cw = self.cost_model.congestion_weight
+        load, base_load = self._load, self._base_load
+        rate = flow.rate
         total = 0.0
         for w in policy.switch_list:
-            total += self.cost_model.switch_cost(
-                self.topology, w, self.load(w) - flow.rate
-            )
-        return flow.rate * total
+            cost = self._base_cost[w]
+            cap = self._capacity[w]
+            if cw > 0 and cap > 0:
+                cost += cw * ((load[w] + base_load[w] - rate) / cap)
+            total += cost
+        return rate * total
 
     # ------------------------------------------------- Algorithm 1 machinery
     def optimal_path(
@@ -650,9 +700,7 @@ class PolicyController:
         n = topo.num_nodes
         blocked = self._failed_mask.copy()
         if enforce_capacity:
-            blocked |= self._switch_mask & (
-                self._switch_cap - (self._load_arr + self._base_arr) < rate
-            )
+            blocked |= self._headroom < rate
         # One trailing closed slot absorbs the neighbour table's padding.
         open_ = np.zeros(n + 1, dtype=bool)
         open_[:n] = ~blocked
@@ -683,46 +731,101 @@ class PolicyController:
         """Min-plus DP over the memoised flat stage DAG (:func:`route_plan`).
 
         One gather prices every plan node; failed switches and, under
-        ``enforce_capacity``, saturated switches are priced ``inf``, which
-        leaves them — and every node reachable only through them — at an
-        infinite total.  Per stage, each node's candidate totals are its
-        parents' totals plus its own cost, read through the plan's parent
-        tables; ``argmin`` over a row picks the first minimum, i.e. the
-        lowest-id parent, reproducing the scalar tie-break.  Servers
-        single-homed on different switches share their switch pair's plan
-        (:func:`plan_endpoints`) and are attached at both ends.  Returns
-        ``None`` when ``dst`` ends at an infinite total (pruning or failures
-        emptied a stage).
+        ``enforce_capacity``, switches whose headroom is below ``rate`` are
+        priced ``inf``, which leaves them — and every node reachable only
+        through them — at an infinite total.  Per stage, each node's
+        candidate totals are its parents' totals plus its own cost, read
+        through the plan's parent tables; ``argmin`` over a row picks the
+        first minimum, i.e. the lowest-id parent, reproducing the scalar
+        tie-break.  A plan with one node per stage is a single path and is
+        walked in order instead, with the same checks and the same sum.
+        Servers single-homed on different switches share their switch
+        pair's plan (:func:`~repro.topology.routing.plan_endpoints`) and are
+        attached at both ends.  Returns ``None`` when ``dst`` ends at an
+        infinite total (pruning or failures emptied a stage).
         """
         if src == dst:
             return (src,)
-        head, tail = plan_endpoints(self.topology, src, dst)
-        if head != src and self._failed_links and (
-            _link_key(src, head) in self._failed_links
-            or _link_key(tail, dst) in self._failed_links
+        # plan_endpoints(), read from the attach table held since __init__.
+        head, tail = self._attach[src], self._attach[dst]
+        if head < 0 or tail < 0 or head == tail:
+            head, tail = src, dst
+        failed_links = self._failed_links
+        if head != src and failed_links and (
+            _link_key(src, head) in failed_links
+            or _link_key(tail, dst) in failed_links
         ):
             return None
-        plan = route_plan(self.topology, head, tail)
+        plan = self._plans.get((head, tail))
+        if plan is None:
+            plan = route_plan(self.topology, head, tail)
+        ids = plan.node_ids
+        bounds = plan.bounds
+        if len(ids) == len(bounds) - 1:
+            path = self._single_path(ids, rate, enforce_capacity, head != src)
+        else:
+            path = self._stage_dp(plan, rate, enforce_capacity, head != src)
+        if path is None or head == src:
+            return path
+        return (src, *path, dst)
+
+    def _single_path(
+        self,
+        ids: tuple[int, ...],
+        rate: float,
+        enforce_capacity: bool,
+        priced_head: bool,
+    ) -> tuple[int, ...] | None:
+        """The stage DP on a plan with one node per stage: ``ids`` itself,
+        unless a node is failed or (under ``enforce_capacity``) short of
+        headroom, a hop crosses a failed link, or the total, summed in path
+        order from the DP's start value, is not finite."""
+        costs, headroom = self._cost_arr, self._headroom
+        failed, failed_links = self._failed_switches, self._failed_links
+        prev = ids[0]
+        if prev in failed or (enforce_capacity and headroom[prev] < rate):
+            return None
+        total = costs[prev] if priced_head else 0.0
+        for node in ids[1:]:
+            if node in failed or (enforce_capacity and headroom[node] < rate):
+                return None
+            if failed_links and _link_key(prev, node) in failed_links:
+                return None
+            total += costs[node]
+            prev = node
+        return ids if total < _INF else None
+
+    def _stage_dp(
+        self,
+        plan: RoutePlan,
+        rate: float,
+        enforce_capacity: bool,
+        priced_head: bool,
+    ) -> tuple[int, ...] | None:
+        """The stage DP over a plan with more than one path; see
+        :meth:`_dag_best_path`."""
         nodes = plan.nodes
-        costs = self.node_cost_vector(nodes)
+        costs = self._cost_arr[nodes]
+        if self._failed_switches:
+            # Dead switches are unroutable at any price.
+            np.putmask(costs, self._failed_mask[nodes], _INF)
         if enforce_capacity:
-            switches = nodes[plan.switches]
-            loads = self._load_arr[switches] + self._base_arr[switches]
-            full = self._switch_cap[switches] - loads < rate
-            costs[plan.switches[full]] = _INF
+            np.putmask(costs, self._headroom[nodes] < rate, _INF)
         bounds = plan.bounds
         # One trailing inf slot: the parent tables' padding gathers it.  A
         # switch-pair plan starts with the source switch's (pruned) cost.
         totals = np.empty(nodes.size + 1, dtype=np.float64)
         totals[-1] = _INF
-        totals[0] = costs[0] if head != src else 0.0
+        totals[0] = costs[0] if priced_head else 0.0
         # Under link failures: node ids behind the parent tables' flat
         # indices (the padding maps to an arbitrary node, already at inf).
+        link_mask = self._failed_link_mask
         parent_ids = np.append(nodes, nodes[0]) if self._failed_links else None
         picks: list[np.ndarray | None] = []
         for k, parents in enumerate(plan.parents, start=1):
             lo, hi = bounds[k], bounds[k + 1]
-            if parents.shape[1] == 1 and parent_ids is None:
+            width = parents.shape[1]
+            if width == 1 and parent_ids is None:
                 # Every node has one parent: nothing to choose.
                 totals[lo:hi] = totals[parents.ravel()] + costs[lo:hi]
                 picks.append(None)
@@ -731,12 +834,14 @@ class PolicyController:
             if parent_ids is not None:
                 # A hop over a failed physical link is as unroutable as one
                 # into a failed switch.
-                dead = self._failed_link_mask[
-                    parent_ids[parents], nodes[lo:hi, None]
-                ]
-                candidates[dead] = _INF
+                candidates[link_mask[parent_ids[parents], nodes[lo:hi, None]]] = _INF
+            # Each row's first minimum (the lowest-id parent among ties),
+            # and its value: exactly ``candidates.min(axis=1)``, read back
+            # in one flat gather, which is cheaper on these small tables.
             pick = candidates.argmin(axis=1)
-            totals[lo:hi] = candidates.min(axis=1)
+            totals[lo:hi] = candidates.ravel()[
+                np.arange(0, candidates.size, width) + pick
+            ]
             picks.append(pick)
         if not totals[-2] < _INF:
             return None
@@ -750,20 +855,18 @@ class PolicyController:
             col = 0 if pick is None else pick[row]
             idx = int(plan.parents[k - 1][row, col])
             path.append(ids[idx])
-        if head != src:
-            path = [dst, *path, src]
         return tuple(reversed(path))
 
     # --------------------------------------------------------- policy builds
     def make_policy(self, flow: ShuffleFlow, path: Sequence[int]) -> Policy:
         """Wrap a node path as a satisfied policy for a flow."""
-        switch_list = tuple(n for n in path if self.topology.is_switch(n))
-        types = tuple(self.topology.switch(w).switch_type for w in switch_list)
+        is_switch, type_of = self._is_switch, self._type_of
+        switch_list = tuple(n for n in path if is_switch[n])
         return Policy(
             flow_id=flow.flow_id,
             path=tuple(path),
             switch_list=switch_list,
-            types=types,
+            types=tuple(type_of[w] for w in switch_list),
         )
 
     def route_flow(

@@ -39,7 +39,7 @@ import numpy as np
 
 from ..cluster.resources import Resources
 from ..obs.runtime import STATE as _OBS
-from ..topology.routing import single_source_unit_costs
+from ..topology.routing import attach_table, single_source_unit_costs
 from .taa import TAAInstance
 
 __all__ = ["PreferenceMatrix", "build_preference_matrix", "PairCostCache"]
@@ -66,6 +66,13 @@ class PairCostCache:
     automatically whenever the controller's switch loads change
     (:attr:`PolicyController.load_version`), so one long-lived cache can be
     shared across sweeps.
+
+    Servers that hang off one switch share that switch's pass.  Every route
+    from such a server ``s`` enters its switch ``e`` first, and ``s`` costs
+    0.0, so the pass from ``s`` adds the same floats in the same order as
+    the pass from ``e`` at every node but ``s`` itself, where it holds
+    ``node_costs[s]``.  Multi-homed servers (BCube) and servers with a
+    nonzero cost keep a pass of their own.
     """
 
     def __init__(self, taa: TAAInstance) -> None:
@@ -76,6 +83,9 @@ class PairCostCache:
         }
         self._servers_arr = np.asarray(self._server_ids, dtype=np.int64)
         self._columns: dict[int, np.ndarray] = {}
+        #: Attach switch -> its single-source column, for the current loads.
+        self._switch_columns: dict[int, np.ndarray] = {}
+        self._attach = attach_table(taa.topology)
         self._node_costs: np.ndarray | None = None
         self._version: int = -1
         # Server capacities never change, so the per-server capacity rows
@@ -89,13 +99,33 @@ class PairCostCache:
         controller = self._taa.controller
         if self._node_costs is None or self._version != controller.load_version:
             self._columns.clear()
+            self._switch_columns.clear()
             self._node_costs = controller.all_node_costs()
             self._version = controller.load_version
 
+    def _single_source(self, root: int) -> np.ndarray:
+        """One layered min-plus pass from ``root``, read at every server."""
+        topology, costs = self._taa.topology, self._node_costs
+        if _OBS.enabled:
+            _OBS.tracer.count("pref.unit_matrix.build")
+            with _OBS.tracer.timeit("pref.unit_matrix"):
+                best = single_source_unit_costs(topology, root, costs)
+        else:
+            best = single_source_unit_costs(topology, root, costs)
+        return best[self._servers_arr]
+
     def _price_column(self, server_id: int) -> np.ndarray:
-        column = single_source_unit_costs(
-            self._taa.topology, server_id, self._node_costs
-        )[self._servers_arr]
+        switch = self._attach[server_id]
+        own_cost = self._node_costs[server_id]
+        if switch < 0 or own_cost != 0.0:
+            column = self._single_source(server_id)
+        else:
+            shared = self._switch_columns.get(switch)
+            if shared is None:
+                shared = self._single_source(switch)
+                self._switch_columns[switch] = shared
+            column = shared.copy()
+            column[self._server_index[server_id]] = own_cost
         column.setflags(write=False)
         return column
 
@@ -138,13 +168,7 @@ class PairCostCache:
         self._sync()
         cached = self._columns.get(server_id)
         if cached is None:
-            if _OBS.enabled:
-                _OBS.tracer.count("pref.unit_matrix.build")
-                with _OBS.tracer.timeit("pref.unit_matrix"):
-                    cached = self._price_column(server_id)
-            else:
-                cached = self._price_column(server_id)
-            self._columns[server_id] = cached
+            cached = self._columns[server_id] = self._price_column(server_id)
         return cached
 
     def misfits(self, demand: Resources) -> np.ndarray:

@@ -272,6 +272,7 @@ class FlowNetwork:
         self._rem = np.zeros(cap0, dtype=np.float64)
         self._rate_arr = np.zeros(cap0, dtype=np.float64)
         self._slot_seq = np.zeros(cap0, dtype=np.int64)
+        self._slot_fid = np.zeros(cap0, dtype=np.int64)
         self._slot_res: list[np.ndarray | None] = [None] * cap0
         self._slot_flow: list[ActiveFlow | None] = [None] * cap0
         # Padded resource-incidence matrix: row ``s`` holds slot ``s``'s
@@ -412,7 +413,9 @@ class FlowNetwork:
         slot = self._n_slots
         if slot == len(self._rem):
             new_cap = 2 * len(self._rem)
-            for name in ("_rem", "_rate_arr", "_slot_seq", "_in_use"):
+            for name in (
+                "_rem", "_rate_arr", "_slot_seq", "_slot_fid", "_in_use"
+            ):
                 old = getattr(self, name)
                 grown = np.zeros(new_cap, dtype=old.dtype)
                 grown[: len(old)] = old
@@ -456,17 +459,16 @@ class FlowNetwork:
         self._active_cache = None
 
     def _ordered(self) -> tuple[np.ndarray, np.ndarray]:
-        """(slots, flow_ids) of the active flows in insertion order."""
+        """(slots, flow_ids) of the active flows in insertion order.
+
+        Slot sequence numbers grow with every add, so the in-use slots
+        sorted by sequence are the flow dict's insertion order.
+        """
         if self._order_slots is None:
-            n = len(self._flows)
-            self._order_fids = np.fromiter(
-                self._flows.keys(), dtype=np.int64, count=n
-            )
-            self._order_slots = np.fromiter(
-                (f._slot for f in self._flows.values()),
-                dtype=np.int64,
-                count=n,
-            )
+            slots = np.flatnonzero(self._in_use[: self._n_slots])
+            slots = slots[np.argsort(self._slot_seq[slots], kind="stable")]
+            self._order_slots = slots
+            self._order_fids = self._slot_fid[slots]
         return self._order_slots, self._order_fids
 
     # ----------------------------------------------------------------- flows
@@ -548,6 +550,7 @@ class FlowNetwork:
         self._rate_arr[slot] = 0.0
         self._slot_seq[slot] = self._seq
         self._seq += 1
+        self._slot_fid[slot] = flow_id
         res_arr = np.asarray(resources, dtype=np.int64)
         self._slot_res[slot] = res_arr
         self._slot_flow[slot] = flow

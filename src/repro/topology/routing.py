@@ -61,7 +61,9 @@ __all__ = [
     "RoutePlan",
     "shortest_path_stages",
     "route_plan",
+    "route_plans",
     "plan_endpoints",
+    "attach_table",
     "bfs_layers",
     "single_source_unit_costs",
     "enumerate_paths",
@@ -131,44 +133,64 @@ def _stage_order(
     return on_path[order], tuple(bounds.tolist())
 
 
+def route_plans(topology: Topology) -> dict[tuple[int, int], RoutePlan]:
+    """The memo of :func:`route_plan` for one topology, ``(src, dst) ->
+    plan``.  The dict lives as long as the topology; a caller that routes
+    many flows may hold it and call :func:`route_plan` only on a miss."""
+    return _per_topology(_PLAN_CACHE, topology)
+
+
 def route_plan(topology: Topology, src: int, dst: int) -> RoutePlan:
     """The :class:`RoutePlan` between ``src`` and ``dst``, memoised.
 
+    Every stage's parent table comes out of one pass over the plan's
+    non-source rows: each row keeps the neighbours that lie in its own
+    previous stage, compacted to the front in ascending order, and each
+    stage is cut to its widest row.
+
     Raises ``ValueError`` when the endpoints are disconnected.
     """
-    per_topo = _per_topology(_PLAN_CACHE, topology)
-    plan = per_topo.get((src, dst))
+    plans = route_plans(topology)
+    plan = plans.get((src, dst))
     if plan is not None:
         return plan
     nodes, bounds = _stage_order(topology, src, dst)
     nodes.setflags(write=False)
-    index = np.full(topology.num_nodes + 1, -1, dtype=np.intp)
-    index[nodes] = np.arange(nodes.size)
-    table = topology.neighbor_table()
-    parents = []
-    for k in range(1, len(bounds) - 1):
-        flat = index[table[nodes[bounds[k] : bounds[k + 1]]]]
-        member = (flat >= bounds[k - 1]) & (flat < bounds[k])
-        parents.append(_parent_table(flat, member, nodes.size))
+    parents: list[np.ndarray] = []
+    if nodes.size > 1:
+        index = np.full(topology.num_nodes + 1, -1, dtype=np.intp)
+        index[nodes] = np.arange(nodes.size)
+        edges = np.asarray(bounds)
+        # Per non-source row: the flat bounds of the stage before its own.
+        sizes = np.diff(edges)[1:]
+        lo = np.repeat(edges[:-2], sizes)[:, None]
+        hi = np.repeat(edges[1:-1], sizes)[:, None]
+        flat = index[topology.neighbor_table()[nodes[1:]]]
+        member = (flat >= lo) & (flat < hi)
+        rows, cols = np.nonzero(member)
+        # A member's slot is the number of members before it in its row.
+        slots = np.cumsum(member, axis=1)[rows, cols] - 1
+        widths = np.maximum.reduceat(member.sum(axis=1), edges[1:-1] - 1)
+        table = np.full(
+            (nodes.size - 1, int(widths.max())), nodes.size, dtype=np.intp
+        )
+        table[rows, slots] = flat[rows, cols]
+        for k, width in enumerate(widths.tolist(), start=1):
+            stage = table[bounds[k] - 1 : bounds[k + 1] - 1, :width].copy()
+            stage.setflags(write=False)
+            parents.append(stage)
     switches = np.flatnonzero(nodes >= topology.num_servers)
     switches.setflags(write=False)
     plan = RoutePlan(
         nodes, tuple(nodes.tolist()), bounds, tuple(parents), switches
     )
-    per_topo[(src, dst)] = plan
+    plans[(src, dst)] = plan
     return plan
 
 
-def plan_endpoints(topology: Topology, src: int, dst: int) -> tuple[int, int]:
-    """The node pair a route between ``src`` and ``dst`` is planned over.
-
-    A single-homed server's every route begins (or ends) with its one access
-    link, so between two servers single-homed on *different* switches the
-    stage DAG is the switches' DAG with one server at each end.  Such pairs
-    share the plan of their switch pair; every other pair (multi-homed
-    servers as in BCube, two servers on one switch, switch endpoints) is
-    planned over itself.
-    """
+def attach_table(topology: Topology) -> tuple[int, ...]:
+    """Per node id: the one switch a single-homed server hangs off, else
+    ``-1`` (switches, multi-homed servers).  Memoised per topology."""
     attach = _ATTACH_CACHE.get(topology)
     if attach is None:
         homes = []
@@ -181,6 +203,20 @@ def plan_endpoints(topology: Topology, src: int, dst: int) -> tuple[int, int]:
             )
             homes.append(neigh[0] if single else -1)
         attach = _ATTACH_CACHE[topology] = tuple(homes)
+    return attach
+
+
+def plan_endpoints(topology: Topology, src: int, dst: int) -> tuple[int, int]:
+    """The node pair a route between ``src`` and ``dst`` is planned over.
+
+    A single-homed server's every route begins (or ends) with its one access
+    link, so between two servers single-homed on *different* switches the
+    stage DAG is the switches' DAG with one server at each end.  Such pairs
+    share the plan of their switch pair; every other pair (multi-homed
+    servers as in BCube, two servers on one switch, switch endpoints) is
+    planned over itself.
+    """
+    attach = attach_table(topology)
     a, b = attach[src], attach[dst]
     if a < 0 or b < 0 or a == b:
         return src, dst

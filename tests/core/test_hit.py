@@ -5,7 +5,9 @@ import pytest
 
 from repro.cluster import Container, Resources, TaskKind, TaskRef
 from repro.core import HitConfig, HitOptimizer, TAAInstance
+from repro.core.policy import PolicyController
 from repro.mapreduce import ShuffleFlow
+from repro.topology import FatTreeConfig, build_fattree
 
 from ..conftest import make_job, make_taa
 
@@ -151,3 +153,52 @@ class TestSubsequentWave:
         HitOptimizer(taa, HitConfig(seed=0)).optimize_subsequent_wave(map_ids)
         routed = [f for f in taa.flows if taa.controller.policy_of(f.flow_id)]
         assert len(routed) == len(taa.flows)
+
+
+def routing_state(controller: PolicyController) -> tuple:
+    """Everything an install writes: policies, rates, capacitated flows,
+    loads, capacitated loads, flow counts, prices and headroom."""
+    policies = controller.policies()
+    switches = controller.topology.switch_ids
+    return (
+        policies,
+        {fid: controller.flow_rate(fid) for fid in policies},
+        {fid for fid in policies if controller.is_capacitated(fid)},
+        [controller.load(w) for w in switches],
+        [controller.capacitated_load(w) for w in switches],
+        dict(controller._flows_on),
+        dict(controller._cap_flows_on),
+        controller._cost_arr.tobytes(),
+        controller._headroom.tobytes(),
+    )
+
+
+class TestBestRouteRestore:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_restored_routes_equal_a_fresh_install(self, seed, monkeypatch):
+        """A wave that ends on a worse placement puts the best one back
+        with its routes restored, not re-routed; the result equals a fresh
+        ``install_all_policies()`` on the final placement, and the restore
+        bumps the load version."""
+        restores = []
+        original = PolicyController.restore_routes
+
+        def restore(self, snapshot):
+            version = self.load_version
+            original(self, snapshot)
+            restores.append(self.load_version > version)
+
+        monkeypatch.setattr(PolicyController, "restore_routes", restore)
+        topology = build_fattree(FatTreeConfig(k=4))
+        job = make_job(num_maps=8, num_reduces=3, skew=0.5)
+        taa, *_ = make_taa(topology, job, seed=seed)
+        controller = taa.controller
+        rng = np.random.default_rng(seed)
+        for w in topology.switch_ids:
+            capacity = topology.switch(w).capacity
+            controller.set_base_load(w, capacity * float(rng.uniform(0.0, 0.6)))
+        HitOptimizer(taa, HitConfig(seed=seed)).optimize_initial_wave()
+        assert restores == [True]
+        restored = routing_state(controller)
+        taa.install_all_policies()
+        assert routing_state(controller) == restored

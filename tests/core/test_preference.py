@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import build_preference_matrix
+from repro.core import TAAInstance, build_preference_matrix
 from repro.core.preference import PairCostCache
+from repro.experiments.configs import build_fabric
+from repro.topology.routing import attach_table, single_source_unit_costs
 
 from ..conftest import make_job, make_taa
 
@@ -46,6 +48,30 @@ class TestPairCostCache:
         cache = PairCostCache(taa)
         _, expected = taa.controller.optimal_path(0, 15, 1.0, enforce_capacity=False)
         assert cache.unit_cost(0, 15) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("fabric", ["fattree", "vl2", "testbed", "bcube"])
+def test_columns_equal_their_own_single_source_pass(fabric):
+    """Every server's column, whether copied from its attach switch's pass
+    (fat-tree, VL2) or priced on its own (the dual-homed testbed tree,
+    BCube), equals the pass rooted at the server, bit for bit, under random
+    loads and one failed switch."""
+    topology = build_fabric(fabric)
+    taa = TAAInstance(topology, [], [])
+    controller = taa.controller
+    rng = np.random.default_rng(len(fabric))
+    for w in topology.switch_ids:
+        capacity = topology.switch(w).capacity
+        controller.set_base_load(w, capacity * float(rng.uniform(0.0, 0.9)))
+    controller.fail_switch(int(rng.choice(topology.switch_ids)))
+    cache = PairCostCache(taa)
+    costs = controller.all_node_costs()
+    servers = np.asarray(topology.server_ids)
+    for s in topology.server_ids:
+        expected = single_source_unit_costs(topology, s, costs)[servers]
+        assert cache.column(s).tobytes() == expected.tobytes(), s
+    shared = sum(attach_table(topology)[s] >= 0 for s in topology.server_ids)
+    assert shared == (len(servers) if fabric in ("fattree", "vl2") else 0)
 
 
 class TestMatrix:

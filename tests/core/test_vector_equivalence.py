@@ -18,7 +18,7 @@ import pytest
 
 from repro.cluster import Container, Resources, TaskKind, TaskRef
 from repro.core import HitConfig, HitOptimizer, TAAInstance, stable_match
-from repro.core.policy import NoFeasiblePathError
+from repro.core.policy import CostModel, NoFeasiblePathError
 from repro.core.preference import PairCostCache, build_preference_matrix
 from repro.core.scalar_ref import (
     ScalarPairCostCache,
@@ -36,7 +36,9 @@ from repro.topology import (
     build_fattree,
     build_tree,
     build_vl2,
+    enumerate_paths,
     plan_endpoints,
+    route_plan,
 )
 
 TOPOLOGIES = ("tree", "fattree", "vl2", "bcube")
@@ -421,6 +423,137 @@ def test_dag_same_switch_pairs_match_scalar(kind, spread):
     assert pairs and all(plan_endpoints(topology, a, b) == (a, b) for a, b in pairs)
     results = assert_dp_matches_scalar(controller, pairs)
     assert all(p is None or len(p) == 3 for p in results)
+
+
+# ----------------------------------------------- single-path plans, headroom
+def single_path_pairs(topology) -> list[tuple[int, int]]:
+    """Server pairs whose route plan holds one path (one node per stage),
+    which the DP walks without its stage loop."""
+    pairs = []
+    for a in topology.server_ids:
+        for b in topology.server_ids:
+            if a == b:
+                continue
+            plan = route_plan(topology, *plan_endpoints(topology, a, b))
+            if len(plan.node_ids) == len(plan.bounds) - 1:
+                pairs.append((a, b))
+    return pairs
+
+
+@pytest.mark.parametrize("spread", [False, True])
+@pytest.mark.parametrize("fault", ["switch", "link", "saturation"])
+@pytest.mark.parametrize("kind", DP_KINDS)
+def test_single_path_plans_match_scalar(kind, fault, spread):
+    """Single-path plans (two servers on one switch; every pair on a tree
+    without redundancy) under a failed switch, a failed link or a full
+    switch on the longest such path: the walk equals the scalar DP on every
+    single-path pair, and the fault cuts some routes but not all."""
+    controller = loaded_controller(kind, seed=15, spread=spread)
+    topology = controller.topology
+    pairs = single_path_pairs(topology)
+    assert pairs
+    healthy = assert_dp_matches_scalar(controller, pairs)
+    assert all(path is not None for path in healthy)
+    path = max(healthy, key=len)
+    switches = [n for n in path if topology.is_switch(n)]
+    if fault == "switch":
+        controller.fail_switch(switches[0])
+    elif fault == "link":
+        controller.fail_link(path[-3], path[-2])
+    else:
+        w = switches[-1]
+        controller.set_base_load(w, topology.switch(w).capacity)
+    results = assert_dp_matches_scalar(controller, pairs)
+    assert any(p is None for p in results)
+    assert any(p is not None for p in results)
+
+
+@pytest.mark.parametrize("kind,seed", CASES[::6])
+def test_optimal_path_cost_is_path_cost(kind, seed):
+    """``optimal_path`` reports exactly ``path_cost(path, rate)``, bit for
+    bit, whichever branch found the path."""
+    taa = random_instance(kind, seed)
+    controller = taa.controller
+    servers = taa.cluster.server_ids
+    rng = np.random.default_rng(2000 + seed)
+    for w in taa.topology.switch_ids:
+        if rng.random() < 0.3:
+            capacity = taa.topology.switch(w).capacity
+            controller.set_base_load(w, capacity * float(rng.uniform(0.7, 1.0)))
+    routed = 0
+    for a in servers:
+        for b in servers:
+            for enforce in (False, True):
+                rate = float(rng.uniform(0.1, 5.0))
+                try:
+                    path, cost = controller.optimal_path(a, b, rate, enforce)
+                except NoFeasiblePathError:
+                    continue
+                expected = controller.path_cost(path, rate)
+                assert np.float64(cost).tobytes() == np.float64(expected).tobytes()
+                routed += 1
+    assert routed
+
+
+def assert_prices_exact(controller) -> None:
+    """Per node: headroom is ``capacity - load`` and the price is
+    :meth:`CostModel.switch_cost` at the load, both exactly; servers have
+    infinite headroom and price 0.0."""
+    topology = controller.topology
+    for w in topology.switch_ids:
+        load = controller.load(w)
+        assert controller._headroom[w] == topology.switch(w).capacity - load
+        assert controller._cost_arr[w] == controller.cost_model.switch_cost(
+            topology, w, load
+        )
+    for s in topology.server_ids:
+        assert controller._headroom[s] == np.inf
+        assert controller._cost_arr[s] == 0.0
+
+
+@pytest.mark.parametrize("congestion", [0.25, 0.0])
+@pytest.mark.parametrize("kind", TOPOLOGIES)
+def test_headroom_tracks_loads_exactly(kind, congestion):
+    """After every random assign, release, set_base_load, base_loads_from
+    and clear, the headroom and price arrays equal a from-scratch pricing,
+    with or without the congestion term (headroom is kept either way)."""
+    topology = random_instance(kind, seed=60).topology
+    cost_model = CostModel(congestion_weight=congestion)
+    controller = TAAInstance(topology, [], [], cost_model=cost_model).controller
+    other = TAAInstance(topology, [], []).controller
+    rng = np.random.default_rng(60)
+    servers = topology.server_ids
+    switches = topology.switch_ids
+    assert_prices_exact(controller)
+    for step in range(300):
+        op = rng.random()
+        if op < 0.4:
+            a, b = (int(v) for v in rng.choice(servers, size=2, replace=False))
+            rate = float(rng.uniform(0.1, 8.0))
+            flow = ShuffleFlow(1000 + step % 40, 0, 0, 0, 0, 1, rate, rate)
+            paths = enumerate_paths(topology, a, b, slack=1, limit=16)
+            path = paths[int(rng.integers(len(paths)))]
+            controller.assign(
+                flow,
+                controller.make_policy(flow, path),
+                capacitated=bool(rng.random() < 0.5),
+            )
+        elif op < 0.65:
+            installed = sorted(controller.policies())
+            if installed:
+                controller.release(int(rng.choice(installed)))
+        elif op < 0.85:
+            w = int(rng.choice(switches))
+            controller.set_base_load(
+                w, topology.switch(w).capacity * float(rng.uniform(0.0, 1.2))
+            )
+        elif op < 0.97:
+            w = int(rng.choice(switches))
+            other.set_base_load(w, float(rng.uniform(0.0, 30.0)))
+            controller.base_loads_from(other)
+        else:
+            controller.clear()
+        assert_prices_exact(controller)
 
 
 # ------------------------------------------------------- container rankings

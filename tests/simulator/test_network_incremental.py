@@ -604,3 +604,30 @@ class TestDegenerateCapacity:
         # Both directed halves of s0-w3 sum to 10.0 == bandwidth: saturated
         # with zero drift.
         assert net.utilisation_by_link()[(0, 3)] == 1.0
+
+
+def dict_ordered(net: FlowNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """The flow-dict ``_ordered`` the slot arrays replaced, kept verbatim:
+    flow ids and slots in the dict's insertion order."""
+    n = len(net._flows)
+    fids = np.fromiter(net._flows.keys(), dtype=np.int64, count=n)
+    slots = np.fromiter(
+        (f._slot for f in net._flows.values()), dtype=np.int64, count=n
+    )
+    return slots, fids
+
+
+class TestSlotOrder:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", TOPOLOGIES)
+    def test_order_matches_flow_dict(self, kind, seed):
+        """After every add, remove, reroute and park-resume, the order built
+        from the slot arrays equals the flow dict's insertion order."""
+        topology = make_topology(kind)
+        net = FlowNetwork(topology)
+        for _ in churn_sequence([net], topology, seed, n_ops=150):
+            slots, fids = net._ordered()
+            ref_slots, ref_fids = dict_ordered(net)
+            assert slots.dtype == ref_slots.dtype
+            assert slots.tolist() == ref_slots.tolist()
+            assert fids.tolist() == ref_fids.tolist()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.configs import FABRICS, build_fabric
 from repro.topology import (
     UNREACHABLE,
     BCubeConfig,
@@ -26,6 +27,7 @@ from repro.topology import (
     shortest_path_stages,
     single_source_unit_costs,
 )
+from repro.topology.routing import _parent_table, _stage_order
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +119,53 @@ class TestStageAdjacency:
         assert plan_endpoints(bcube, 0, 15) == (0, 15)
         # Redundancy-2 tree servers hang off two access switches.
         assert plan_endpoints(tree, 0, 15) == (0, 15)
+
+
+def per_stage_plan(topology, src, dst):
+    """The per-stage route-plan builder the one-pass build replaced, kept
+    verbatim: one neighbour gather and one compaction per stage."""
+    nodes, bounds = _stage_order(topology, src, dst)
+    nodes.setflags(write=False)
+    index = np.full(topology.num_nodes + 1, -1, dtype=np.intp)
+    index[nodes] = np.arange(nodes.size)
+    table = topology.neighbor_table()
+    parents = []
+    for k in range(1, len(bounds) - 1):
+        flat = index[table[nodes[bounds[k] : bounds[k + 1]]]]
+        member = (flat >= bounds[k - 1]) & (flat < bounds[k])
+        parents.append(_parent_table(flat, member, nodes.size))
+    switches = np.flatnonzero(nodes >= topology.num_servers)
+    switches.setflags(write=False)
+    return nodes, bounds, parents, switches
+
+
+@pytest.mark.parametrize("fabric", sorted(FABRICS))
+def test_route_plan_matches_per_stage_builder(fabric):
+    """Random node pairs (servers and switches, plus a few self pairs) on
+    every registered fabric: the one-pass plan equals the per-stage build
+    array for array, including padding, dtypes and read-only flags."""
+    topology = build_fabric(fabric)
+    rng = np.random.default_rng(len(fabric))
+    n = topology.num_nodes
+    pairs = {tuple(int(v) for v in rng.integers(n, size=2)) for _ in range(60)}
+    servers = topology.server_ids
+    pairs |= {(int(a), int(b)) for a, b in rng.choice(servers, size=(20, 2))}
+    pairs |= {(0, 0), (servers[0], servers[-1])}
+    for src, dst in sorted(pairs):
+        plan = route_plan(topology, src, dst)
+        nodes, bounds, parents, switches = per_stage_plan(topology, src, dst)
+        assert np.array_equal(plan.nodes, nodes)
+        assert plan.node_ids == tuple(nodes.tolist())
+        assert plan.bounds == bounds
+        assert len(plan.parents) == len(parents)
+        for got, want in zip(plan.parents, parents):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+        assert np.array_equal(plan.switches, switches)
+        assert plan.switches.dtype == switches.dtype
+        assert not plan.nodes.flags.writeable
+        assert not plan.switches.flags.writeable
 
 
 class TestSingleSourceUnitCosts:
