@@ -5,7 +5,7 @@ generators, the workload generator, the TAA core (Hit-Scheduler), the
 baseline schedulers and the discrete-event simulator.
 """
 
-from . import analysis, cluster, core, experiments, mapreduce, obs, schedulers, simulator, topology, yarnsim
+from . import analysis, cluster, core, experiments, mapreduce, obs, schedulers, simulator, topology
 
 __version__ = "1.1.0"
 
@@ -19,6 +19,5 @@ __all__ = [
     "schedulers",
     "simulator",
     "topology",
-    "yarnsim",
     "__version__",
 ]

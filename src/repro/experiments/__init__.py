@@ -36,9 +36,7 @@ from .sweep import (
     run_sweep,
 )
 from .telemetry import (
-    TelemetryComparisonResult,
     TelemetryRunResult,
-    critical_path_comparison,
     run_telemetry_cell,
 )
 
@@ -63,9 +61,7 @@ __all__ = [
     "build_static_workload",
     "run_static_placement",
     "run_static_cell",
-    "TelemetryComparisonResult",
     "TelemetryRunResult",
-    "critical_path_comparison",
     "run_telemetry_cell",
     "CellConfig",
     "SweepSpec",

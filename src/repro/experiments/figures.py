@@ -180,9 +180,6 @@ class TestbedResult:
     def mean_jct(self, scheduler: str) -> float:
         return self.metrics[scheduler].mean_jct()
 
-    def jct_improvement(self, scheduler: str, baseline: str) -> float:
-        return improvement(self.mean_jct(baseline), self.mean_jct(scheduler))
-
 
 def fig6_fig7_testbed(
     seed: int = 0,

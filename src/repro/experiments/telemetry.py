@@ -1,44 +1,29 @@
-"""Telemetry comparison harness: where does each scheduler's JCT go?
+"""Telemetry sweep cell: where does a scheduler's JCT go?
 
-Runs the same workload under every baseline with the simulated-time
-timeline recorder on, attributes each job's JCT to critical-path segments
-(:mod:`repro.analysis.critical_path`) and keeps the gauge timelines around
-for export.  The headline artefact is the per-scheduler segment table —
-"Hit wins because its shuffle tail is shorter" — plus, optionally, one
-Perfetto trace per scheduler and a combined HTML report
-(:mod:`repro.obs.export`).
-
-A fault timeline and/or speculation config can be layered on, in which
-case the attribution also surfaces ``fault_retry`` and ``speculation``
-segments and the recorder's markers pin the discrete fault events to the
-gauge timelines.
+Runs one workload with the simulated-time timeline recorder on and
+attributes each job's JCT to critical-path segments
+(:mod:`repro.analysis.critical_path`), keeping the gauge timeline and the
+fault / speculation counters beside it.  The sweep's ``telemetry`` arm
+(:mod:`repro.experiments.sweep`) runs one cell per seed × scheduler ×
+fabric; ``repro simulate --critical-path`` prints the same per-scheduler
+segment table, and ``--export-trace`` / ``--html-report`` write Perfetto
+traces and the HTML report (:mod:`repro.obs.export`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any
 
 from ..analysis.critical_path import (
     JobCriticalPath,
     aggregate_segments,
     attribute_run,
-    format_critical_path,
 )
-from ..faults import FaultSpec
-from ..obs.export import save_chrome_trace, save_html_report
 from ..obs.timeline import TimelineRecorder
-from ..schedulers import make_scheduler
 from ..simulator import MapReduceSimulator, MetricsCollector
-from ..speculation import SpeculationConfig
-from . import configs
 
 __all__ = [
     "TelemetryRunResult",
-    "TelemetryComparisonResult",
-    "critical_path_comparison",
     "run_telemetry_cell",
 ]
 
@@ -55,54 +40,6 @@ class TelemetryRunResult:
     @property
     def mean_segments(self) -> dict[str, float]:
         return aggregate_segments(self.critical)
-
-
-@dataclass
-class TelemetryComparisonResult:
-    """All schedulers over the same recorded workload."""
-
-    runs: dict[str, TelemetryRunResult] = field(default_factory=dict)
-
-    def critical_table(self, style: str = "plain") -> str:
-        return format_critical_path(
-            {name: run.critical for name, run in self.runs.items()},
-            style=style,
-        )
-
-    def report_sections(self) -> list[dict[str, Any]]:
-        """Sections in the shape :func:`repro.obs.export.render_html_report`
-        consumes."""
-        return [
-            {
-                "scheduler": name,
-                "metrics": run.metrics,
-                "timeline": run.timeline,
-                "critical": run.critical,
-                "counters": run.counters,
-            }
-            for name, run in self.runs.items()
-        ]
-
-    def export(
-        self,
-        trace_prefix: str | Path | None = None,
-        html_path: str | Path | None = None,
-    ) -> list[Path]:
-        """Write per-scheduler Perfetto traces and/or the combined HTML
-        report; returns the paths written."""
-        written: list[Path] = []
-        if trace_prefix is not None:
-            for name, run in self.runs.items():
-                path = Path(f"{trace_prefix}.{name}.json")
-                save_chrome_trace(
-                    path, run.metrics, run.timeline, scheduler=name
-                )
-                written.append(path)
-        if html_path is not None:
-            path = Path(html_path)
-            save_html_report(path, self.report_sections())
-            written.append(path)
-        return written
 
 
 def run_telemetry_cell(
@@ -132,42 +69,3 @@ def run_telemetry_cell(
         counters=counters,
     )
 
-
-def critical_path_comparison(
-    seed: int = 0,
-    num_jobs: int = 12,
-    scheduler_names: tuple[str, ...] = (
-        "capacity",
-        "capacity-ecmp",
-        "random",
-        "hit",
-    ),
-    timeline_dt: float = 0.05,
-    faults: tuple[FaultSpec, ...] = (),
-    speculation: SpeculationConfig | None = None,
-    max_task_retries: int = 10,
-) -> TelemetryComparisonResult:
-    """Record every scheduler over the shared testbed workload.
-
-    Identical jobs, fabric, seed and (optional) fault timeline per
-    scheduler, so segment deltas are attributable to placement and policy
-    alone.
-    """
-    jobs = configs.testbed_workload(seed=seed, num_jobs=num_jobs)
-    base_config = configs.testbed_simulation_config(seed=seed)
-    config = dataclasses.replace(base_config, timeline_dt=timeline_dt)
-    if faults:
-        config = dataclasses.replace(
-            config, faults=tuple(faults), max_task_retries=max_task_retries
-        )
-    if speculation is not None:
-        config = dataclasses.replace(config, speculation=speculation)
-    result = TelemetryComparisonResult()
-    for name in scheduler_names:
-        result.runs[name] = run_telemetry_cell(
-            configs.testbed_tree(),
-            make_scheduler(name, seed=seed),
-            jobs,
-            config,
-        )
-    return result

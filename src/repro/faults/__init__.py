@@ -16,9 +16,8 @@ dies mid-job?  Three layers:
   the engine) — seeded randomized chaos runs enforcing the survivability
   contract.
 * **recovery** — lives in :mod:`repro.simulator.engine` (task re-execution,
-  flow rerouting/parking), :mod:`repro.cluster.state` (server blacklists),
-  :mod:`repro.core.policy` (dead-switch routing masks) and
-  :mod:`repro.yarnsim` (heartbeat liveness).
+  flow rerouting/parking), :mod:`repro.cluster.state` (server blacklists)
+  and :mod:`repro.core.policy` (dead-switch routing masks).
 
 See ``docs/fault_model.md`` for the fault taxonomy, the recovery semantics
 and the determinism contract.

@@ -78,10 +78,6 @@ class HdfsModel:
             self._servers_by_rack.setdefault(rack, []).append(sid)
         self._placements: dict[int, list[BlockPlacement]] = {}
 
-    @property
-    def num_racks(self) -> int:
-        return len(self._servers_by_rack)
-
     def rack_of(self, server_id: int) -> int:
         return self._racks[server_id]
 

@@ -11,8 +11,6 @@ plus task placement.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.taa import TAAInstance
 from .capacity import CapacityScheduler
 
@@ -34,11 +32,7 @@ class EcmpCapacityScheduler(CapacityScheduler):
     def __init__(self, seed: int = 0) -> None:
         super().__init__()
         self.seed = seed
-        self._rng = np.random.default_rng(seed)
 
     def route_flows(self, taa: TAAInstance) -> None:
         taa.install_ecmp_policies(seed=self.seed)
 
-    def ecmp_rng(self) -> np.random.Generator:
-        """The generator the simulator draws per-flow path choices from."""
-        return self._rng

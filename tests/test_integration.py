@@ -14,7 +14,6 @@ from repro.simulator import (
     run_simulation,
 )
 from repro.topology import TreeConfig, build_bcube, build_fattree, build_tree, build_vl2
-from repro.yarnsim import ApplicationMaster, ResourceManager, TopologyAwareTaskDict
 
 from .conftest import make_job, make_taa
 
@@ -92,23 +91,6 @@ class TestSimulatorVsStaticConsistency:
         # shortest-path length on this fabric (1 or 3 switches).
         for f in metrics.flows:
             assert f.num_switches in (0, 1, 3)
-
-
-class TestYarnRoundTrip:
-    def test_taa_to_yarn_to_cluster_equivalence(self, small_tree):
-        """Placements carried through the YARN plumbing reconstruct the TAA
-        assignment exactly when the cluster is empty."""
-        job = make_job()
-        taa, *_ = make_taa(small_tree, job)
-        HitOptimizer(taa, HitConfig(seed=1)).optimize_initial_wave()
-        taskdict = TopologyAwareTaskDict.from_placement(
-            taa.cluster, small_tree, taa.cluster.placement_snapshot()
-        )
-        rm = ResourceManager(small_tree)
-        am = ApplicationMaster(rm=rm, job=job, taskdict=taskdict)
-        granted = am.acquire_containers()
-        for c in taa.cluster.containers():
-            assert granted[str(c.task)].server_id == c.server_id
 
 
 class TestWorkloadPipeline:

@@ -1,6 +1,8 @@
 """Public-API hygiene: __all__ consistency and import surface."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -11,10 +13,13 @@ PACKAGES = [
     "repro.mapreduce",
     "repro.core",
     "repro.schedulers",
-    "repro.yarnsim",
     "repro.simulator",
     "repro.experiments",
     "repro.analysis",
+    "repro.obs",
+    "repro.faults",
+    "repro.workload",
+    "repro.speculation",
 ]
 
 
@@ -39,6 +44,13 @@ def test_version_string():
     parts = repro.__version__.split(".")
     assert len(parts) == 3
     assert all(p.isdigit() for p in parts)
+    # A regex, not tomllib: the package still supports Python 3.10.
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = re.search(
+        r'^version\s*=\s*"([^"]+)"', pyproject.read_text(), re.MULTILINE
+    )
+    assert declared is not None, "pyproject.toml declares no version"
+    assert declared.group(1) == repro.__version__
 
 
 def test_scheduler_factory_covers_cli_choices():
