@@ -22,14 +22,19 @@ of its members would produce.
 Link faults add a second axis of live state: :attr:`failed_links` (hard
 down) and :attr:`degraded_links` (capacity factor < 1.0).  A link is *dead*
 — unroutable — when it is failed or degraded to factor 0.0; the engine
-masks dead links out of routing and the policy DP, and
-:meth:`assert_path_clear` enforces that no installed path crosses one.
+masks dead links out of routing and the policy DP.  :meth:`first_dead` is
+the one test of whether a path crosses a failed switch or a dead link: the
+engine's install guard (:meth:`assert_path_clear`, which raises
+:class:`~repro.simulator.errors.RoutingViolation`), its live-path filter and
+reroute selection, and the invariant checker's path-liveness check all ask
+it.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from ..simulator.errors import RoutingViolation
 from ..simulator.events import Event, EventKind, EventQueue
 from .domains import FailureDomain, domains_of
 from .spec import FaultKind, FaultSpec, validate_timeline
@@ -82,6 +87,7 @@ class FaultInjector:
         self._failed_switches: set[int] = set()
         self._failed_links: set[tuple[int, int]] = set()
         self._degraded_links: dict[tuple[int, int], float] = {}
+        self._dead_links: set[tuple[int, int]] = set()
         self._domain_cache: dict[str, tuple[FailureDomain, ...]] = {}
         self._park_time: dict[int, float] = {}
         self.parked_dwell: float = 0.0
@@ -174,9 +180,42 @@ class FaultInjector:
     @property
     def dead_links(self) -> frozenset[tuple[int, int]]:
         """Links that carry no traffic: failed or degraded to factor 0.0."""
-        dead = set(self._failed_links)
-        dead.update(k for k, f in self._degraded_links.items() if f == 0.0)
-        return frozenset(dead)
+        return frozenset(self._dead_links)
+
+    def any_dead(self) -> bool:
+        """Whether any switch is failed or any link dead right now."""
+        return bool(self._failed_switches or self._dead_links)
+
+    def is_dead(self, element: int | tuple[int, int]) -> bool:
+        """Whether a switch id or a ``(u, v)`` link is dead right now."""
+        if isinstance(element, tuple):
+            return _canonical(*element) in self._dead_links
+        return element in self._failed_switches
+
+    def first_dead(self, path: Sequence[int]) -> str | None:
+        """The first dead element ``path`` crosses, or None when it is live.
+
+        Failed switches are looked for before dead links, each in path
+        order; the answer names the element (``"failed switch 7"``,
+        ``"dead link (3, 7)"``) for error and violation messages.
+        """
+        failed = self._failed_switches
+        if failed:
+            for node in path:
+                if node in failed:
+                    return f"failed switch {node}"
+        dead = self._dead_links
+        if dead:
+            for a, b in zip(path, path[1:]):
+                if ((a, b) if a <= b else (b, a)) in dead:
+                    return f"dead link ({a}, {b})"
+        return None
+
+    def _sync_dead(self, key: tuple[int, int]) -> None:
+        if key in self._failed_links or self._degraded_links.get(key) == 0.0:
+            self._dead_links.add(key)
+        else:
+            self._dead_links.discard(key)
 
     def link_capacity_factor(self, u: int, v: int) -> float:
         """Effective capacity multiplier for the link (0.0 when failed)."""
@@ -219,6 +258,7 @@ class FaultInjector:
         if key in self._failed_links:
             return False
         self._failed_links.add(key)
+        self._sync_dead(key)
         self.count("faults.link_fail")
         return True
 
@@ -227,6 +267,7 @@ class FaultInjector:
         if key not in self._failed_links:
             return False
         self._failed_links.discard(key)
+        self._sync_dead(key)
         self.count("faults.link_recover")
         return True
 
@@ -248,30 +289,22 @@ class FaultInjector:
         else:
             self._degraded_links[key] = factor
             self.count("faults.link_degrade")
+        self._sync_dead(key)
         return True
 
     def assert_path_clear(self, path: Sequence[int]) -> None:
-        """Hard guard: no path may traverse a currently-failed element.
+        """Hard guard: no path may traverse a currently-dead element.
 
         Called by the engine on every path install/reroute while faults are
-        live; a violation is a recovery-layer bug, so it raises rather than
-        degrades.  Covers failed switches and dead links (failed or
-        degraded-to-zero).
+        live; a violation is a recovery-layer bug, so it raises
+        :class:`~repro.simulator.errors.RoutingViolation` rather than
+        degrades.
         """
-        for node in path:
-            if node in self._failed_switches:
-                raise RuntimeError(
-                    f"routing violation: path {tuple(path)} traverses "
-                    f"failed switch {node}"
-                )
-        dead = self.dead_links
-        if dead:
-            for a, b in zip(path, path[1:]):
-                if _canonical(a, b) in dead:
-                    raise RuntimeError(
-                        f"routing violation: path {tuple(path)} traverses "
-                        f"dead link ({a}, {b})"
-                    )
+        dead = self.first_dead(path)
+        if dead is not None:
+            raise RoutingViolation(
+                f"routing violation: path {tuple(path)} traverses {dead}"
+            )
 
     # -------------------------------------------------------- parked dwell
     def note_parked(self, flow_id: int, now: float) -> None:

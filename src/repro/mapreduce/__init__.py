@@ -1,4 +1,4 @@
-"""MapReduce workload substrate: jobs, HDFS blocks, waves and shuffle flows."""
+"""MapReduce workload substrate: jobs, HDFS blocks and shuffle flows."""
 
 from .hdfs import BlockPlacement, HdfsModel, rack_of_servers
 from .job import JobSpec, ShuffleClass, shuffle_matrix
@@ -9,7 +9,6 @@ from .trace import (
     load_workload_file,
     save_workload_file,
 )
-from .waves import WavePlan, plan_waves
 from .workload import PUMA_BENCHMARKS, Benchmark, WorkloadGenerator, class_mix
 
 __all__ = [
@@ -22,8 +21,6 @@ __all__ = [
     "ShuffleFlow",
     "build_flows",
     "flows_between",
-    "WavePlan",
-    "plan_waves",
     "PUMA_BENCHMARKS",
     "Benchmark",
     "WorkloadGenerator",

@@ -332,32 +332,21 @@ class InvariantChecker:
 
         The routing half of the survivability contract: the engine's
         recovery layer must have rerouted or parked every flow touching a
-        dead element before simulated time moves again.
+        dead element before simulated time moves again.  A bad flow yields
+        one violation, naming the first dead element on its path
+        (:meth:`FaultInjector.first_dead`).
         """
         found: list[InvariantViolation] = []
-        failed = injector.failed_switches
-        dead = injector.dead_links
-        if not failed and not dead:
-            return self._emit(found)
-        for flow in network.active_flows:
-            for node in flow.path:
-                if node in failed:
+        if injector.any_dead():
+            for flow in network.active_flows:
+                dead = injector.first_dead(flow.path)
+                if dead is not None:
                     found.append(InvariantViolation(
                         "path-liveness",
                         f"flow {flow.flow_id}: path {flow.path} traverses "
-                        f"failed switch {node}",
+                        f"{dead}",
                         where,
                     ))
-                    break
-            for a, b in zip(flow.path, flow.path[1:]):
-                if ((a, b) if a <= b else (b, a)) in dead:
-                    found.append(InvariantViolation(
-                        "path-liveness",
-                        f"flow {flow.flow_id}: path {flow.path} traverses "
-                        f"dead link ({a}, {b})",
-                        where,
-                    ))
-                    break
         return self._emit(found)
 
     def check_quiescent(

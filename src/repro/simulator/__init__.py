@@ -2,7 +2,13 @@
 metrics."""
 
 from .engine import MapReduceSimulator, RunOutcome, SimulationConfig, run_simulation
-from .errors import EventBudgetExceeded, RetryBudgetExceeded, SimTimeStall, UnfinishedJobs
+from .errors import (
+    EventBudgetExceeded,
+    RetryBudgetExceeded,
+    RoutingViolation,
+    SimTimeStall,
+    UnfinishedJobs,
+)
 from .events import Event, EventKind, EventQueue
 from .metrics import (
     FlowRecord,
@@ -22,6 +28,7 @@ __all__ = [
     "run_simulation",
     "EventBudgetExceeded",
     "RetryBudgetExceeded",
+    "RoutingViolation",
     "SimTimeStall",
     "UnfinishedJobs",
     "Event",

@@ -91,6 +91,25 @@ __all__ = [
     "run_simulation",
 ]
 
+#: Switch/link fault event → (``fault`` record reason code, injector
+#: marker).  Each marker looks its ``mark_*`` method up per call, so a
+#: wrapper installed on :class:`FaultInjector` still sees every call.
+_FABRIC_FAULTS = {
+    EventKind.SWITCH_FAIL: (
+        "switch-fail", lambda f, w: f.mark_switch_failed(w)
+    ),
+    EventKind.SWITCH_RECOVER: (
+        "switch-recover", lambda f, w: f.mark_switch_recovered(w)
+    ),
+    EventKind.LINK_FAIL: ("link-fail", lambda f, p: f.mark_link_failed(*p)),
+    EventKind.LINK_RECOVER: (
+        "link-recover", lambda f, p: f.mark_link_recovered(*p)
+    ),
+    EventKind.LINK_DEGRADE: (
+        "link-degrade", lambda f, p: f.mark_link_degraded(*p)
+    ),
+}
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -539,20 +558,12 @@ class MapReduceSimulator:
             self._on_server_fail(event.time, event.payload)
         elif event.kind is EventKind.SERVER_RECOVER:
             self._on_server_recover(event.time, event.payload)
-        elif event.kind is EventKind.SWITCH_FAIL:
-            self._on_switch_fail(event.time, event.payload)
-        elif event.kind is EventKind.SWITCH_RECOVER:
-            self._on_switch_recover(event.time, event.payload)
-        elif event.kind is EventKind.LINK_FAIL:
-            self._on_link_fail(event.time, *event.payload)
-        elif event.kind is EventKind.LINK_RECOVER:
-            self._on_link_recover(event.time, *event.payload)
-        elif event.kind is EventKind.LINK_DEGRADE:
-            self._on_link_degrade(event.time, *event.payload)
         elif event.kind is EventKind.TASK_SLOWDOWN:
             self._on_task_slowdown(event.time, *event.payload)
         elif event.kind is EventKind.TASK_RETRY:
             self._on_task_retry(event.time, *event.payload)
+        elif event.kind in _FABRIC_FAULTS:
+            self._on_fabric_fault(event.time, event.kind, event.payload)
         self._drain_completed(event.time)
         self._schedule_network_checkpoint(event.time)
 
@@ -1134,7 +1145,7 @@ class MapReduceSimulator:
         self, now: float, flow: ShuffleFlow, src: int, dst: int
     ) -> None:
         """Route and start a shuffle flow, parking it when no live path
-        exists (only possible while switches are failed)."""
+        exists (only possible while a switch or link is dead)."""
         path = self._route(flow, src, dst)
         if path is None:
             self._park_flow(flow.flow_id, flow.size, now)
@@ -1151,9 +1162,7 @@ class MapReduceSimulator:
         result is always a path and the logic is byte-for-byte the
         pre-fault behaviour.
         """
-        faulty = self.faults is not None and bool(
-            self.faults.failed_switches or self.faults.dead_links
-        )
+        faulty = self.faults is not None and self.faults.any_dead()
         path, reason, detail = self._route_impl(flow, src, dst, faulty)
         if path is not None and faulty:
             self.faults.assert_path_clear(path)
@@ -1244,26 +1253,14 @@ class MapReduceSimulator:
         feasible path)."""
         from ..topology.routing import enumerate_paths
 
-        assert self.faults is not None
-        failed = self.faults.failed_switches
-        dead = self.faults.dead_links
-
-        def alive_path(p: tuple[int, ...]) -> bool:
-            if any(node in failed for node in p):
-                return False
-            if dead:
-                for a, b in zip(p, p[1:]):
-                    if ((a, b) if a <= b else (b, a)) in dead:
-                        return False
-            return True
-
+        first_dead = self.faults.first_dead
         for slack in range(max_slack + 1):
             alive = [
                 p
                 for p in enumerate_paths(
                     self.topology, src, dst, slack=slack, limit=64
                 )
-                if alive_path(p)
+                if first_dead(p) is None
             ]
             if alive:
                 return alive
@@ -1347,33 +1344,70 @@ class MapReduceSimulator:
             self._schedule_retry(now, cid)
         self._try_admit(now)
 
-    def _on_switch_fail(self, now: float, switch_id: int) -> None:
+    def _on_fabric_fault(
+        self, now: float, kind: EventKind, payload: object
+    ) -> None:
+        """One switch or link transition: fail, recover or degrade.
+
+        In order: mark the injector (repeating the current state is a
+        no-op), emit the ``fault`` record, and for a link set the fluid
+        network's capacity factor.  Only a live→dead flip masks the element
+        in the controller and reroutes every live flow now crossing a dead
+        element, parking the ones with no live path left; a dead→live flip
+        unmasks it and retries the parking lot.  A link degraded to factor
+        0.0 is dead exactly like a failed one; any other factor only
+        squeezes the max-min allocation.
+        """
         injector = self.faults
         assert injector is not None
-        if not injector.mark_switch_failed(switch_id):
+        reason, mark = _FABRIC_FAULTS[kind]
+        is_link = not (
+            kind is EventKind.SWITCH_FAIL or kind is EventKind.SWITCH_RECOVER
+        )
+        element = payload[:2] if is_link else payload
+        where = {"link": list(element)} if is_link else {"switch": element}
+        was_dead = injector.is_dead(element)
+        if not mark(injector, payload):
             return
         if self.provenance is not None:
+            detail = dict(where)
+            if kind is EventKind.LINK_DEGRADE:
+                detail["factor"] = payload[2]
             self.provenance.emit(
-                "fault",
-                "switch-fail",
-                switch=switch_id,
-                **injector.provenance_context(),
+                "fault", reason, **detail, **injector.provenance_context()
             )
-        self.controller.fail_switch(switch_id)
-        # Reroute every flow crossing the dead switch; park the ones with no
-        # remaining live path until a recovery reconnects their endpoints.
+        if is_link:
+            self.network.set_link_capacity_factor(
+                *element, injector.link_capacity_factor(*element)
+            )
+        dead = injector.is_dead(element)
+        if dead == was_dead:
+            return
+        if not dead:
+            if is_link:
+                self.controller.recover_link(*element)
+            else:
+                self.controller.recover_switch(element)
+            self._unpark_flows(now)
+            return
+        if is_link:
+            self.controller.fail_link(*element)
+        else:
+            self.controller.fail_switch(element)
         for active in self.network.active_flows:
-            if switch_id not in active.path or active.remaining <= 0.0:
-                continue  # unaffected, or already finished awaiting drain
+            if active.remaining <= 0.0:
+                continue  # already finished, awaiting drain
+            if injector.first_dead(active.path) is None:
+                continue  # crosses no dead element
             flow = self._flow_objects[active.flow_id]
             path = self._route(flow, active.path[0], active.path[-1])
             if self.provenance is not None:
                 self.provenance.emit(
                     "reroute",
-                    "switch-fail-reroute",
+                    "link-fail-reroute" if is_link else "switch-fail-reroute",
                     job=flow.job_id,
                     task=flow_label(flow.map_index, flow.reduce_index),
-                    switch=switch_id,
+                    **where,
                     outcome="parked" if path is None else "rerouted",
                     remaining=active.remaining,
                 )
@@ -1385,129 +1419,6 @@ class MapReduceSimulator:
             else:
                 self.network.reroute_flow(active.flow_id, path)
                 injector.count("faults.flows_rerouted")
-
-    def _on_switch_recover(self, now: float, switch_id: int) -> None:
-        injector = self.faults
-        assert injector is not None
-        if not injector.mark_switch_recovered(switch_id):
-            return
-        if self.provenance is not None:
-            self.provenance.emit(
-                "fault",
-                "switch-recover",
-                switch=switch_id,
-                **injector.provenance_context(),
-            )
-        self.controller.recover_switch(switch_id)
-        self._unpark_flows(now)
-
-    def _on_link_fail(self, now: float, u: int, v: int) -> None:
-        injector = self.faults
-        assert injector is not None
-        was_dead = ((u, v) if u <= v else (v, u)) in injector.dead_links
-        if not injector.mark_link_failed(u, v):
-            return
-        if self.provenance is not None:
-            self.provenance.emit(
-                "fault",
-                "link-fail",
-                link=[u, v],
-                **injector.provenance_context(),
-            )
-        self._sync_link_state(now, u, v, was_dead)
-
-    def _on_link_recover(self, now: float, u: int, v: int) -> None:
-        injector = self.faults
-        assert injector is not None
-        was_dead = ((u, v) if u <= v else (v, u)) in injector.dead_links
-        if not injector.mark_link_recovered(u, v):
-            return
-        if self.provenance is not None:
-            self.provenance.emit(
-                "fault",
-                "link-recover",
-                link=[u, v],
-                **injector.provenance_context(),
-            )
-        self._sync_link_state(now, u, v, was_dead)
-
-    def _on_link_degrade(
-        self, now: float, u: int, v: int, factor: float
-    ) -> None:
-        """Fail-slow link: scale capacity to ``factor`` × nominal.
-
-        Factor 0.0 kills the link (flows reroute or park exactly as for a
-        hard ``link-fail``), anything in (0, 1) just squeezes the max-min
-        allocation, and 1.0 restores nominal bandwidth."""
-        injector = self.faults
-        assert injector is not None
-        was_dead = ((u, v) if u <= v else (v, u)) in injector.dead_links
-        if not injector.mark_link_degraded(u, v, factor):
-            return
-        if self.provenance is not None:
-            self.provenance.emit(
-                "fault",
-                "link-degrade",
-                link=[u, v],
-                factor=factor,
-                **injector.provenance_context(),
-            )
-        self._sync_link_state(now, u, v, was_dead)
-
-    def _sync_link_state(
-        self, now: float, u: int, v: int, was_dead: bool
-    ) -> None:
-        """Propagate a link-fault transition into network + controller.
-
-        The injector is the source of truth: the fluid network's capacity
-        follows :meth:`FaultInjector.link_capacity_factor` and the routing
-        mask follows dead-link membership (failed, or degraded to factor
-        0.0).  On a live→dead transition every flow crossing the link is
-        rerouted or parked; dead→live recoveries retry the parking lot.
-        """
-        injector = self.faults
-        assert injector is not None
-        key = (u, v) if u <= v else (v, u)
-        dead = key in injector.dead_links
-        self.network.set_link_capacity_factor(
-            u, v, injector.link_capacity_factor(u, v)
-        )
-        if dead == was_dead:
-            return
-        if dead:
-            self.controller.fail_link(u, v)
-            # Reroute every flow whose path crosses the dead link; park the
-            # ones with no remaining live path until a recovery.
-            for active in self.network.active_flows:
-                if active.remaining <= 0.0:
-                    continue  # already finished awaiting drain
-                hops = zip(active.path, active.path[1:])
-                if not any(((a, b) if a <= b else (b, a)) == key
-                           for a, b in hops):
-                    continue
-                flow = self._flow_objects[active.flow_id]
-                path = self._route(flow, active.path[0], active.path[-1])
-                if self.provenance is not None:
-                    self.provenance.emit(
-                        "reroute",
-                        "link-fail-reroute",
-                        job=flow.job_id,
-                        task=flow_label(flow.map_index, flow.reduce_index),
-                        link=[u, v],
-                        outcome="parked" if path is None else "rerouted",
-                        remaining=active.remaining,
-                    )
-                if path is None:
-                    remaining = active.remaining
-                    self.network.remove_flow(active.flow_id)
-                    self.controller.release(active.flow_id)
-                    self._park_flow(active.flow_id, remaining, now)
-                else:
-                    self.network.reroute_flow(active.flow_id, path)
-                    injector.count("faults.flows_rerouted")
-        else:
-            self.controller.recover_link(u, v)
-            self._unpark_flows(now)
 
     def _on_task_slowdown(
         self, now: float, server_id: int, factor: float

@@ -8,6 +8,7 @@ carrying the engine's long-standing message text.
 __all__ = [
     "EventBudgetExceeded",
     "RetryBudgetExceeded",
+    "RoutingViolation",
     "SimTimeStall",
     "UnfinishedJobs",
 ]
@@ -15,6 +16,10 @@ __all__ = [
 
 class RetryBudgetExceeded(RuntimeError):
     """A task needed more re-executions than ``max_task_retries``."""
+
+
+class RoutingViolation(RuntimeError):
+    """A path was installed across a failed switch or a dead link."""
 
 
 class SimTimeStall(RuntimeError):

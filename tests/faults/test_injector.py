@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faults import FaultInjector, FaultKind, FaultSpec
+from repro.simulator import RoutingViolation
 from repro.simulator.events import EventKind, EventQueue
 
 
@@ -72,8 +73,9 @@ class TestLiveState:
         injector = make_injector(flat_tree)
         injector.mark_switch_failed(core)
         injector.assert_path_clear((0, tor, 1))  # core not on this path
-        with pytest.raises(RuntimeError, match=f"failed switch {core}"):
+        with pytest.raises(RoutingViolation, match=f"failed switch {core}"):
             injector.assert_path_clear((0, tor, core, tor, 2))
+        assert issubclass(RoutingViolation, RuntimeError)
 
     def test_summary_sorted(self, flat_tree):
         injector = make_injector(flat_tree)

@@ -7,7 +7,12 @@ from repro.faults import FaultInjector, FaultKind, FaultSpec, generate_timeline
 from repro.mapreduce import WorkloadGenerator
 from repro.obs import InvariantChecker, observe
 from repro.schedulers import make_scheduler
-from repro.simulator import FlowNetwork, MapReduceSimulator, SimulationConfig
+from repro.simulator import (
+    FlowNetwork,
+    MapReduceSimulator,
+    RoutingViolation,
+    SimulationConfig,
+)
 
 
 def run_link_timeline(topology, timeline, scheduler="hit", seed=7, jobs=3):
@@ -151,7 +156,7 @@ class TestInjectorLinkState:
         injector = FaultInjector(small_tree, ())
         u, v = small_tree.links[0].key
         injector.mark_link_failed(u, v)
-        with pytest.raises(RuntimeError, match="dead link"):
+        with pytest.raises(RoutingViolation, match="dead link"):
             injector.assert_path_clear((u, v))
 
 

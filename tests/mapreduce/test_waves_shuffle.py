@@ -1,60 +1,15 @@
-"""Wave planning and shuffle-flow construction."""
+"""Shuffle-flow construction."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.mapreduce import (
     build_flows,
     flows_between,
-    plan_waves,
     shuffle_matrix,
 )
 
 from ..conftest import make_job
-
-
-class TestWaves:
-    def test_single_wave_when_slots_suffice(self):
-        plan = plan_waves(0, num_maps=4, num_reduces=2, map_slots=8, reduce_slots=4)
-        assert plan.is_single_wave
-        assert plan.map_waves == ((0, 1, 2, 3),)
-
-    def test_multiple_map_waves(self):
-        plan = plan_waves(0, num_maps=7, num_reduces=2, map_slots=3, reduce_slots=4)
-        assert plan.map_waves == ((0, 1, 2), (3, 4, 5), (6,))
-        assert plan.num_map_waves == 3
-        assert plan.num_reduce_waves == 1
-
-    def test_every_task_in_exactly_one_wave(self):
-        plan = plan_waves(0, 11, 5, 4, 2)
-        seen = [t for wave in plan.map_waves for t in wave]
-        assert seen == list(range(11))
-        seen_r = [t for wave in plan.reduce_waves for t in wave]
-        assert seen_r == list(range(5))
-
-    def test_zero_maps(self):
-        plan = plan_waves(0, 0, 1, 2, 2)
-        assert plan.map_waves == ((),)
-
-    def test_rejects_bad_slots(self):
-        with pytest.raises(ValueError):
-            plan_waves(0, 1, 1, 0, 1)
-
-    def test_rejects_negative_counts(self):
-        with pytest.raises(ValueError):
-            plan_waves(0, -1, 1, 1, 1)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        maps=st.integers(0, 50),
-        slots=st.integers(1, 10),
-    )
-    def test_property_wave_sizes_bounded_by_slots(self, maps, slots):
-        plan = plan_waves(0, maps, 1, slots, 1)
-        for wave in plan.map_waves:
-            assert len(wave) <= slots
 
 
 class TestBuildFlows:
