@@ -176,7 +176,7 @@ class scalar_kernels:
         self._cache = hit_mod.PairCostCache
         self._dp = PolicyController._dag_best_path
 
-        def scalar_pref(taa, container_ids=None, cache=None, previous=None):
+        def scalar_pref(taa, container_ids=None, cache=None):
             scalar_cache = (
                 cache.refreshed() if isinstance(cache, FreshScalarCache) else None
             )

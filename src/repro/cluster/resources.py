@@ -12,7 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-__all__ = ["Resources"]
+__all__ = ["Resources", "clamp_residue"]
+
+#: Size of the float-rounding residue that charge/refund cycles leave
+#: behind (e.g. ``0.7 + 0.5 - 0.7 - 0.5 != 0.0``).
+RESIDUE = 1e-9
+
+
+def clamp_residue(value: float) -> float:
+    """Snap a residue-sized negative difference to 0.0; keep the rest."""
+    return 0.0 if -RESIDUE < value < 0.0 else value
 
 
 @dataclass(frozen=True, order=False)
@@ -36,14 +45,12 @@ class Resources:
         return Resources(self.memory + other.memory, self.vcores + other.vcores)
 
     def __sub__(self, other: "Resources") -> "Resources":
-        # Clamp float-rounding residue (e.g. 0.7 + 0.5 - 0.7 - 0.5 != 0.0)
-        # so repeated charge/refund cycles never trip the non-negativity
-        # validator; genuinely negative results still raise.
-        def clamp(value: float) -> float:
-            return 0.0 if -1e-9 < value < 0.0 else value
-
+        # Clamp float-rounding residue so repeated charge/refund cycles
+        # never trip the non-negativity validator; genuinely negative
+        # results still raise.
         return Resources(
-            clamp(self.memory - other.memory), clamp(self.vcores - other.vcores)
+            clamp_residue(self.memory - other.memory),
+            clamp_residue(self.vcores - other.vcores),
         )
 
     def __mul__(self, scalar: float) -> "Resources":
@@ -55,6 +62,14 @@ class Resources:
     def fits_in(self, capacity: "Resources") -> bool:
         """Component-wise ``self <= capacity`` (the paper's capacity check)."""
         return self.memory <= capacity.memory and self.vcores <= capacity.vcores
+
+    def matches(self, other: "Resources") -> bool:
+        """Equal up to float-rounding residue: the test a usage cache,
+        built by charges and refunds, passes against its re-derived sum."""
+        return (
+            abs(self.memory - other.memory) <= RESIDUE
+            and abs(self.vcores - other.vcores) <= RESIDUE
+        )
 
     def dominates(self, other: "Resources") -> bool:
         """Component-wise ``self >= other``."""

@@ -267,7 +267,7 @@ class ClusterState:
                         f"container {cid} bookkeeping mismatch on server {sid}"
                     )
                 total = total + c.demand
-            if total.as_tuple() != self._used[sid].as_tuple():
+            if not total.matches(self._used[sid]):
                 raise AssertionError(f"usage cache drift on server {sid}")
             if not total.fits_in(self._capacity[sid]):
                 raise AssertionError(f"server {sid} over capacity")

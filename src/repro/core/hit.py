@@ -232,14 +232,10 @@ class HitOptimizer:
         # Sweep-to-sweep reuse: each side keeps its last preference matrix
         # together with the (load_version, placement_epoch) state it was
         # graded under.  When a sweep comes back to an unchanged state the
-        # matrix is reused outright (the grading pass is a pure function of
-        # that state); otherwise the stale matrix is chained as a rank-reuse
-        # donor for the rebuild.  Either way results are bit-identical to
-        # rebuilding from scratch every sweep.
+        # matrix is reused outright — the grading pass is a pure function of
+        # that state, so results are bit-identical to rebuilding it.
         placement_epoch = 0
-        side_matrices: dict[
-            int, tuple[tuple[int, ...], tuple[int, int], PreferenceMatrix]
-        ] = {}
+        side_matrices: dict[int, tuple[tuple, PreferenceMatrix]] = {}
 
         for round_idx in range(self.config.max_rounds * len(sides)):
             side_idx = round_idx % len(sides)
@@ -250,28 +246,15 @@ class HitOptimizer:
             with _OBS.tracer.span(
                 "hit.sweep", round=round_idx, containers=len(side)
             ):
-                side_key = tuple(side)
-                state_key = (controller.load_version, placement_epoch)
+                key = (tuple(side), controller.load_version, placement_epoch)
                 cached = side_matrices.get(side_idx)
-                if (
-                    cached is not None
-                    and cached[0] == side_key
-                    and cached[1] == state_key
-                ):
-                    preferences = cached[2]
+                if cached is not None and cached[0] == key:
+                    preferences = cached[1]
                 else:
-                    previous = (
-                        cached[2]
-                        if cached is not None and cached[0] == side_key
-                        else None
-                    )
                     preferences = build_preference_matrix(
-                        taa,
-                        container_ids=side,
-                        cache=self._pair_cache,
-                        previous=previous,
+                        taa, container_ids=side, cache=self._pair_cache
                     )
-                    side_matrices[side_idx] = (side_key, state_key, preferences)
+                    side_matrices[side_idx] = (key, preferences)
                 matching = stable_match(preferences, cluster)
                 matchings.append(matching)
                 if self._apply_assignment(matching):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..cluster.resources import Resources
+from ..cluster.resources import Resources, clamp_residue
 from ..cluster.state import ClusterState
 from ..obs.runtime import STATE as _OBS
 from .preference import PreferenceMatrix
@@ -72,48 +72,49 @@ def stable_match(
     :meth:`~repro.core.hit.HitOptimizer`), since an application step may also
     need to handle unmatched containers.
     """
-    container_ids = list(preferences.container_ids)
+    container_ids = preferences.container_ids
     in_matrix = set(container_ids)
-    zero = Resources.zero()
 
-    # Container-side preference lists and cursors.
-    pref_lists: dict[int, list[int]] = {
-        c: preferences.container_ranking(c) for c in container_ids
-    }
-    cursors: dict[int, int] = {c: 0 for c in container_ids}
+    # The loop names container ``container_ids[j]`` by its column index j.
+    # Container-side preference lists and cursors:
+    pref_lists = [preferences.container_ranking(c) for c in container_ids]
+    cursors = [0] * len(container_ids)
 
-    # Server-side ranking (0 = most preferred container): lazy argsort-backed
-    # arrays, materialised per server on first proposal — most servers on a
-    # large fabric are never proposed to.  ``rank_of(s)[cidx[c]]`` is the
-    # rank of container ``c``, with infeasible pairs at the sentinel value
-    # ``n + 1`` (always at-or-beyond any rejected-top threshold).
-    cidx = preferences.container_index
+    # Server-side ranking (0 = most preferred container): ``rank_rows[s][j]``
+    # is the rank ``s`` gives container j, with infeasible pairs at the
+    # sentinel ``n + 1`` (always at-or-beyond any rejected-top threshold).
+    # Rows are fetched as Python lists for the servers proposed to — most
+    # servers of a large fabric never are.
     rank_of = preferences.server_rank_array
     unrejected = len(container_ids) + 1
 
-    # Per-server matching state exists only for servers proposed to: most
-    # servers of a large fabric never are.
+    # Resources travel as plain (memory, vcores) floats, summed and
+    # differenced in the order, and with the clamp, of ``Resources``.
     rejected_top: dict[int, int] = {}
-    capacity: dict[int, Resources] = {}
-    used: dict[int, Resources] = {}
+    rank_rows: dict[int, list[int]] = {}
+    capacity: dict[int, tuple[float, float]] = {}
+    used: dict[int, tuple[float, float]] = {}
     accepted: dict[int, set[int]] = {}
     matched_to: dict[int, int] = {}
 
-    demand = {c: cluster.container(c).demand for c in container_ids}
+    demand = [cluster.container(c).demand.as_tuple() for c in container_ids]
 
-    free: deque[int] = deque(container_ids)
+    free: deque[int] = deque(range(len(container_ids)))
     proposals = 0
     evictions = 0
 
     while free:
-        c = free.popleft()
-        while cursors[c] < len(pref_lists[c]):
-            s = pref_lists[c][cursors[c]]
-            cursors[c] += 1
-            ranks = rank_of(s)
-            if int(ranks[cidx[c]]) >= rejected_top.get(s, unrejected):
+        j = free.popleft()
+        prefs = pref_lists[j]
+        while cursors[j] < len(prefs):
+            s = prefs[cursors[j]]
+            cursors[j] += 1
+            ranks = rank_rows.get(s)
+            if ranks is None:
+                ranks = rank_rows[s] = rank_of(s).tolist()
+            if ranks[j] >= rejected_top.get(s, unrejected):
                 # Blacklisted (or infeasible): s already rejected a container
-                # it prefers to c.
+                # it prefers to j.
                 continue
             proposals += 1
             if s not in capacity:
@@ -121,33 +122,38 @@ def stable_match(
                 # side of an alternating sweep) keep occupying s: charge
                 # their demand up-front so the matching never
                 # oversubscribes around them.
-                capacity[s] = cluster.capacity(s) - cluster.load_excluding(
-                    s, in_matrix
-                )
+                capacity[s] = (
+                    cluster.capacity(s) - cluster.load_excluding(s, in_matrix)
+                ).as_tuple()
                 accepted[s] = set()
             # Tentatively accept, then evict least-preferred until feasible.
             hosted = accepted[s]
-            hosted.add(c)
-            matched_to[c] = s
-            load = used.get(s, zero) + demand[c]
-            while not load.fits_in(capacity[s]):
-                worst = max(hosted, key=lambda x: ranks[cidx[x]])
+            hosted.add(j)
+            matched_to[j] = s
+            cap_mem, cap_cores = capacity[s]
+            mem, cores = used.get(s, (0.0, 0.0))
+            add_mem, add_cores = demand[j]
+            mem, cores = mem + add_mem, cores + add_cores
+            while not (mem <= cap_mem and cores <= cap_cores):
+                worst = max(hosted, key=ranks.__getitem__)
                 hosted.discard(worst)
-                load = load - demand[worst]
+                out_mem, out_cores = demand[worst]
+                mem = clamp_residue(mem - out_mem)
+                cores = clamp_residue(cores - out_cores)
                 del matched_to[worst]
                 evictions += 1
                 rejected_top[s] = min(
-                    rejected_top.get(s, unrejected), int(ranks[cidx[worst]])
+                    rejected_top.get(s, unrejected), ranks[worst]
                 )
-                if worst != c:
+                if worst != j:
                     free.append(worst)
-            used[s] = load
-            if c in hosted:
+            used[s] = (mem, cores)
+            if j in hosted:
                 break
-            # c itself was evicted: continue down its list.
-    unmatched = [c for c in container_ids if c not in matched_to]
+            # j itself was evicted: continue down its list.
+    unmatched = [c for j, c in enumerate(container_ids) if j not in matched_to]
     result = MatchingResult(
-        assignment=dict(matched_to),
+        assignment={container_ids[j]: s for j, s in matched_to.items()},
         unmatched=unmatched,
         proposals=proposals,
         evictions=evictions,

@@ -212,39 +212,11 @@ class PreferenceMatrix:
         self._server_index = {s: i for i, s in enumerate(self.server_ids)}
         self._container_index = {c: j for j, c in enumerate(self.container_ids)}
         self._server_arr = np.asarray(self.server_ids, dtype=np.int64)
-        #: Lazily filled per-server rank arrays (see :meth:`server_rank_array`).
-        self._rank_arrays: dict[int, np.ndarray] = {}
-        #: Memoised container rankings (column argsorts), by column index.
-        self._ranking_cache: dict[int, list[int]] = {}
-        #: Predecessor matrix (previous sweep of the same Alg-2 loop) whose
-        #: cached rankings/rank arrays can be reused for rows/columns whose
-        #: inputs are bit-identical.  See :meth:`chain_previous`.
-        self._prev: "PreferenceMatrix | None" = None
-        self._prev_current_equal = False
-
-    def chain_previous(self, previous: "PreferenceMatrix | None") -> None:
-        """Adopt a previous sweep's matrix as a rank-reuse donor.
-
-        Ranking reuse is purely equality-gated — a ranking is taken from the
-        donor only when every float it depends on is bit-identical — so
-        chaining never changes results, it only skips recomputing argsorts
-        for unchanged rows/columns (the common case in the stale tail of the
-        Alg-2 sweep loop, where consecutive sweeps see identical loads and
-        placement).  The donor's own chain is cut to bound the reuse walk at
-        depth one.
-        """
-        if previous is None or previous is self:
-            return
-        previous._prev = None
-        if (
-            previous.server_ids != self.server_ids
-            or previous.container_ids != self.container_ids
-        ):
-            return
-        self._prev = previous
-        self._prev_current_equal = np.array_equal(
-            self.current_cost, previous.current_cost
-        )
+        #: Both sides' rankings, each built for the whole matrix in one
+        #: batched pass on first use (:meth:`server_rank_array`,
+        #: :meth:`container_ranking`).
+        self._server_ranks: np.ndarray | None = None
+        self._rankings: list[list[int]] | None = None
 
     # ------------------------------------------------------------- accessors
     @property
@@ -276,44 +248,15 @@ class PreferenceMatrix:
         Statically infeasible servers are omitted.  Ties break toward the
         lower server id for determinism.
         """
-        j = self._container_index[container_id]
-        cached = self._ranking_cache.get(j)
-        if cached is not None:
-            return cached
-        column = self.cost[:, j]
-        prev = self._prev
-        if prev is not None and np.array_equal(column, prev.cost[:, j]):
-            ranking = prev.container_ranking(container_id)
-        else:
-            order = np.argsort(column, kind="stable")
-            order = order[np.isfinite(column[order])]
-            ranking = self._server_arr[order].tolist()
-        self._ranking_cache[j] = ranking
-        return ranking
-
-    def _server_utilities(self, row: int) -> np.ndarray:
-        """The utility vector one server grades every container with."""
-        # Unplaced containers have no current cost; grade them by -cost (the
-        # raw P(s, c)) so they still sort sensibly among the placed ones.
-        with np.errstate(invalid="ignore"):
-            utilities = np.where(
-                np.isfinite(self.current_cost),
-                self.current_cost - self.cost[row, :],
-                -self.cost[row, :],
-            )
-        return np.nan_to_num(utilities, nan=-np.inf)
-
-    def server_ranking(self, server_id: int) -> list[int]:
-        """Container ids the server prefers, highest utility first."""
-        i = self._server_index[server_id]
-        utilities = self._server_utilities(i)
-        # Containers that cannot fit (cost inf) rank last and are dropped.
-        order = np.argsort(-utilities, kind="stable")
-        return [
-            self.container_ids[j]
-            for j in order
-            if np.isfinite(self.cost[i, j])
-        ]
+        if self._rankings is None:
+            # One stable argsort over the columns ranks every container.
+            # Costs are never -inf, and inf (and nan) sort last, so each
+            # column's finite entries are a prefix of its order.
+            order = np.argsort(self.cost.T, axis=1, kind="stable")
+            finite = np.isfinite(self.cost).sum(axis=0).tolist()
+            servers = self._server_arr[order].tolist()
+            self._rankings = [row[:k] for row, k in zip(servers, finite)]
+        return self._rankings[self._container_index[container_id]]
 
     #: Rank value marking a statically infeasible (server, container) pair in
     #: :meth:`server_rank_array` — always at-or-beyond a server's
@@ -322,40 +265,46 @@ class PreferenceMatrix:
     INFEASIBLE_RANK_OFFSET = 1
 
     def server_rank_array(self, server_id: int) -> np.ndarray:
-        """Argsort-backed rank vector of one server, lazily materialised.
+        """Rank vector of one server (read-only).
 
         ``result[j]`` is the rank (0 = most preferred) the server gives
         container ``container_ids[j]``, consistent with
         :meth:`server_ranking`; statically infeasible containers get the
         sentinel ``len(container_ids) + INFEASIBLE_RANK_OFFSET`` instead of a
-        rank.  Computed once per server on first access — Algorithm 2 only
-        ever touches the servers that are actually proposed to, so eager
-        materialisation of every server's ranking is wasted work on large
-        fabrics.
+        rank.
+
+        The first call ranks every server at once, with one row-wise stable
+        argsort.  A stable sort's permutation is unique, so each row equals
+        that server's own 1-D argsort of its negated utilities.
         """
-        i = self._server_index[server_id]
-        cached = self._rank_arrays.get(i)
-        if cached is not None:
-            return cached
-        prev = self._prev
-        if (
-            prev is not None
-            and self._prev_current_equal
-            and np.array_equal(self.cost[i], prev.cost[i])
-        ):
-            # Identical utilities and feasibility → identical ranks; borrow
-            # the donor's (read-only) array instead of re-argsorting.
-            ranks = prev.server_rank_array(server_id)
-            self._rank_arrays[i] = ranks
-            return ranks
-        n = len(self.container_ids)
-        order = np.argsort(-self._server_utilities(i), kind="stable")
-        feasible_in_order = order[np.isfinite(self.cost[i, order])]
-        ranks = np.full(n, n + self.INFEASIBLE_RANK_OFFSET, dtype=np.int64)
-        ranks[feasible_in_order] = np.arange(feasible_in_order.size)
-        ranks.setflags(write=False)
-        self._rank_arrays[i] = ranks
-        return ranks
+        if self._server_ranks is None:
+            # Sort key -U (Eq 10): cost minus the container's current cost,
+            # which is 0.0 for an unplaced container (graded by the raw
+            # P(s, c)).  It equals the negated utility up to the sign of a
+            # zero, which no comparison sees.
+            current = np.where(
+                np.isfinite(self.current_cost), self.current_cost, 0.0
+            )
+            order = np.argsort(self.cost - current, axis=1, kind="stable")
+            m, n = self.cost.shape
+            ranks = np.empty_like(order)
+            ranks[np.arange(m)[:, None], order] = np.arange(n)
+            # Containers that cannot fit (cost inf) sort after every one
+            # that can, so the feasible keep ranks 0..k-1; the rest get the
+            # sentinel.
+            ranks[~np.isfinite(self.cost)] = n + self.INFEASIBLE_RANK_OFFSET
+            ranks.setflags(write=False)
+            self._server_ranks = ranks
+        return self._server_ranks[self._server_index[server_id]]
+
+    def server_ranking(self, server_id: int) -> list[int]:
+        """Container ids the server prefers, highest utility first."""
+        ranks = self.server_rank_array(server_id)
+        return [
+            self.container_ids[j]
+            for j in np.argsort(ranks, kind="stable")
+            if ranks[j] < len(self.container_ids)
+        ]
 
     def server_rank_of(self, server_id: int) -> dict[int, int]:
         """``{container_id: rank}`` (0 = most preferred) for one server."""
@@ -372,7 +321,6 @@ def build_preference_matrix(
     taa: TAAInstance,
     container_ids: list[int] | None = None,
     cache: PairCostCache | None = None,
-    previous: PreferenceMatrix | None = None,
 ) -> PreferenceMatrix:
     """Run the grading pass of Algorithm 1 and assemble the matrix.
 
@@ -382,17 +330,12 @@ def build_preference_matrix(
     placement-indifferent — grading them would add all-zero columns.
     ``cache`` lets the caller share one :class:`PairCostCache` (and its
     all-pairs matrix) across the grading pass and the matching fallback; a
-    fresh one is built when omitted.  ``previous`` (the previous sweep's
-    matrix over the same axes) donates its cached rankings for rows/columns
-    whose inputs did not change — see :meth:`PreferenceMatrix.chain_previous`.
+    fresh one is built when omitted.
     """
     if _OBS.enabled:
         with _OBS.tracer.timeit("pref.build"):
-            matrix = _build_preference_matrix(taa, container_ids, cache)
-    else:
-        matrix = _build_preference_matrix(taa, container_ids, cache)
-    matrix.chain_previous(previous)
-    return matrix
+            return _build_preference_matrix(taa, container_ids, cache)
+    return _build_preference_matrix(taa, container_ids, cache)
 
 
 def _build_preference_matrix(

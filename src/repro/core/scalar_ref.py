@@ -198,14 +198,8 @@ def build_preference_matrix_scalar(
     taa: "TAAInstance",
     container_ids: list[int] | None = None,
     cache: ScalarPairCostCache | None = None,
-    previous: PreferenceMatrix | None = None,
 ) -> PreferenceMatrix:
-    """The original grading pass: per-server-pair scalar DPs, Python loops.
-
-    ``previous`` is accepted for call-compatibility with the vectorised
-    builder and deliberately ignored: the reference always rebuilds from
-    scratch (no reuse to go wrong).
-    """
+    """The original grading pass: per-server-pair scalar DPs, Python loops."""
     cluster = taa.cluster
     if container_ids is None:
         container_ids = [

@@ -52,6 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable
 
+from ..cluster.resources import Resources
+
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..cluster.state import ClusterState
     from ..core.matching import MatchingResult
@@ -138,7 +140,7 @@ class InvariantChecker:
         """Eq 3 (4th constraint): per-server usage ≤ capacity, caches honest."""
         found: list[InvariantViolation] = []
         for sid in cluster.server_ids:
-            total = None
+            total = Resources.zero()
             for cid in cluster.hosted_on(sid):
                 c = cluster.container(cid)
                 if c.server_id != sid:
@@ -148,9 +150,9 @@ class InvariantChecker:
                         f"points at {c.server_id}",
                         where,
                     ))
-                total = c.demand if total is None else total + c.demand
+                total = total + c.demand
             used = cluster.used(sid)
-            if total is not None and total.as_tuple() != used.as_tuple():
+            if not total.matches(used):
                 found.append(InvariantViolation(
                     "server-capacity",
                     f"server {sid} usage cache {used.as_tuple()} != "
