@@ -97,8 +97,9 @@ def _make_observability(args: argparse.Namespace):
     """Checker/tracer pair from the ``--check-invariants``/``--trace`` flags.
 
     Falls back to whatever is already installed process-wide (the
-    ``REPRO_CHECK_INVARIANTS``/``REPRO_TRACE`` environment switches) so the
-    command's ``observe()`` scope re-installs rather than shadows it.
+    ``REPRO_CHECK_INVARIANTS``/``REPRO_TRACE`` environment switches), so the
+    command's ``observe()`` scope keeps them and the closing report covers
+    them: the checker's violations are printed and the trace is closed.
     """
     from .obs import InvariantChecker, Tracer
     from .obs.runtime import STATE

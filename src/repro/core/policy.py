@@ -238,6 +238,11 @@ class PolicyController:
         including the base load the negotiation had to route around."""
         return self._cap_load[switch_id] + self._base_load[switch_id]
 
+    def negotiated_load(self, switch_id: int) -> float:
+        """Rate of the capacity-negotiated flows through a switch, base load
+        excluded: exactly ``0.0`` once the last of them is released."""
+        return self._cap_load[switch_id]
+
     def is_capacitated(self, flow_id: int) -> bool:
         """Whether a flow's policy was installed under the Eq 4 constraint."""
         return flow_id in self._capacitated

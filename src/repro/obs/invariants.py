@@ -12,6 +12,12 @@ machine-checkable (paper references in parentheses):
   Eq 4).  Policies installed with capacity enforcement waived (the static /
   ECMP baselines and the saturation fallback) are exempt by design — the
   paper's constraint binds the optimiser, not the baselines it out-performs.
+  Eq 4 binds a switch only while negotiated rate crosses it: there the
+  negotiated rate plus the base load it was routed around must fit.  A
+  planning instance imports the live fabric's *total* load as base load,
+  exempt traffic included, so a switch may start over capacity; with no
+  negotiated rate on it nothing the optimiser placed is at stake (the
+  negotiation itself keeps new flows off it), and it is not flagged.
 * **switch-load-consistency** — the controller's incremental load accounting
   equals the load recomputed from scratch off the installed policies (no
   float drift, no stale entries).
@@ -176,6 +182,8 @@ class InvariantChecker:
     ) -> list[InvariantViolation]:
         """Eq 4: capacity-negotiated load on each switch ≤ its capacity.
 
+        Only switches that carry negotiated rate are bound (see the module
+        docstring): imported base load alone over capacity is not a breach.
         ``switches`` restricts the scan (the per-mutation hook checks only
         the switches a policy touches); by default every switch is checked.
         """
@@ -183,6 +191,8 @@ class InvariantChecker:
         topo = controller.topology
         ids = topo.switch_ids if switches is None else switches
         for w in ids:
+            if not controller.negotiated_load(w):
+                continue
             load = controller.capacitated_load(w)
             capacity = topo.switch(w).capacity
             if load > capacity + self.tolerance:

@@ -19,7 +19,10 @@ disabled" contract.
 
 Installation is either explicit (:func:`install` / :func:`uninstall`, or the
 :func:`observe` context manager used by the CLI and tests) or via
-environment variables read once at import:
+environment variables read once at import.  A slot :func:`install` or
+:func:`observe` is not given keeps what is installed, so a tracer-only scope
+still runs under an environment-installed checker; passing ``None`` empties
+the slot.  The environment switches:
 
 * ``REPRO_CHECK_INVARIANTS=1`` — install a ``raise``-mode
   :class:`~repro.obs.invariants.InvariantChecker` (CI smoke runs).
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Any, Iterator
 
 from .invariants import InvariantChecker
 from .tracer import NULL_TRACER, NullTracer, Tracer
@@ -55,14 +58,20 @@ class ObsState:
 
 STATE = ObsState()
 
+#: Default of :func:`install` / :func:`observe`: leave the slot as it is.
+_KEEP: Any = object()
+
 
 def install(
-    checker: InvariantChecker | None = None,
-    tracer: Tracer | None = None,
+    checker: InvariantChecker | None = _KEEP,
+    tracer: Tracer | None = _KEEP,
 ) -> None:
-    """Install a checker and/or tracer process-wide (None leaves a slot)."""
-    STATE.checker = checker
-    STATE.tracer = tracer if tracer is not None else NULL_TRACER
+    """Install a checker and/or tracer process-wide.  An omitted slot keeps
+    what is installed; ``None`` empties it."""
+    if checker is not _KEEP:
+        STATE.checker = checker
+    if tracer is not _KEEP:
+        STATE.tracer = tracer if tracer is not None else NULL_TRACER
     STATE.refresh()
 
 
@@ -75,10 +84,10 @@ def uninstall() -> None:
 
 @contextmanager
 def observe(
-    checker: InvariantChecker | None = None,
-    tracer: Tracer | None = None,
+    checker: InvariantChecker | None = _KEEP,
+    tracer: Tracer | None = _KEEP,
 ) -> Iterator[ObsState]:
-    """Scoped installation; restores whatever was active before on exit."""
+    """Scoped :func:`install`; restores both slots as they were on exit."""
     previous = (STATE.checker, STATE.tracer)
     install(checker=checker, tracer=tracer)
     try:

@@ -670,18 +670,21 @@ class FlowNetwork:
         diameter, and each one is a few vectorised gathers — no per-flow
         Python loop.  The closure only grows, so the walk stops at the
         first round whose running count passes the threshold: the fallback
-        decision is the one the finished walk would reach.
+        decision is the one the finished walk would reach.  When one seed
+        resource alone carries more than the threshold, its flows are all in
+        the closure, so that decision is known before any walk.
         """
         limit = self.incremental_threshold * len(self._flows)
+        seed_ids = np.fromiter(seeds, dtype=np.int64, count=len(seeds))
+        if self._res_nflows[seed_ids].max() > limit:
+            return self._ordered()[0]
         m = len(self._caps)
         inc = self._inc[: self._n_slots]
         in_use = self._in_use[: self._n_slots]
         # Entry ``m`` is the padding sentinel and must stay unvisited, or
         # every padded row would read as touching a visited resource.
         visited_res = np.zeros(m + 1, dtype=bool)
-        visited_res[np.fromiter(seeds, dtype=np.int64, count=len(seeds))] = (
-            True
-        )
+        visited_res[seed_ids] = True
         visited_slot = np.zeros(self._n_slots, dtype=bool)
         reached = 0
         while True:

@@ -169,6 +169,13 @@ class Topology:
             tuple(sorted(neigh)) for neigh in adjacency
         ]
         self._distance_cache: dict[int, np.ndarray] = {}
+        # The narrowest signed dtype holding ``2 * num_nodes``: every hop
+        # distance, the UNREACHABLE sentinel and the sum of two distances
+        # (the stage test of ``routing._stage_order``) fit without overflow.
+        self._distance_dtype = next(
+            t for t in (np.int8, np.int16, np.int32, np.int64)
+            if np.iinfo(t).max >= 2 * self._num_nodes
+        )
         self._neighbor_table: np.ndarray | None = None
 
     # ------------------------------------------------------------------ nodes
@@ -268,9 +275,11 @@ class Topology:
 
         Unreachable nodes get :data:`UNREACHABLE`.  The BFS expands one whole
         frontier per step through :meth:`neighbor_table`.  Results are cached
-        per source; a 512-server tree has a few hundred nodes so the cache
-        stays small while letting schedulers issue thousands of queries
-        cheaply.
+        per source, so the cache holds one row of ``num_nodes`` entries per
+        source ever queried: up to ``num_nodes ** 2`` entries over a run.
+        Rows are therefore stored in the narrowest signed integer dtype that
+        holds ``2 * num_nodes`` (``int16``, a quarter of ``int64``, from 64
+        to 16,383 nodes) and returned read-only.
         """
         cached = self._distance_cache.get(source)
         if cached is not None:
@@ -279,7 +288,7 @@ class Topology:
         n = self._num_nodes
         # The trailing slot absorbs the table's padding; marking it reached
         # keeps it out of every frontier.
-        dist = np.full(n + 1, UNREACHABLE, dtype=np.int64)
+        dist = np.full(n + 1, UNREACHABLE, dtype=self._distance_dtype)
         dist[n] = 0
         dist[source] = 0
         frontier = np.array([source], dtype=np.intp)

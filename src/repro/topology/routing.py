@@ -48,6 +48,17 @@ _STAGE_CACHE: "weakref.WeakKeyDictionary[Topology, dict[tuple[int, int], list[tu
 _PLAN_CACHE: "weakref.WeakKeyDictionary[Topology, dict[tuple[int, int], RoutePlan]]" = (
     weakref.WeakKeyDictionary()
 )
+#: (shape, bytes) -> the one read-only parent table every structurally
+#: identical plan stage shares.  A fabric has a handful of stage shapes, so
+#: this stays small however many pairs are routed.
+_TABLE_CACHE: "weakref.WeakKeyDictionary[Topology, dict[tuple[tuple[int, ...], bytes], np.ndarray]]" = (
+    weakref.WeakKeyDictionary()
+)
+#: ``tuple(range(num_nodes))``: the plans' ``node_ids`` reference these ints
+#: instead of each allocating its own for every id above 256.
+_NODE_IDS: "weakref.WeakKeyDictionary[Topology, tuple[int, ...]]" = (
+    weakref.WeakKeyDictionary()
+)
 #: Per node: the one switch a single-homed server hangs off, else -1.
 _ATTACH_CACHE: "weakref.WeakKeyDictionary[Topology, tuple[int, ...]]" = (
     weakref.WeakKeyDictionary()
@@ -101,14 +112,14 @@ class RoutePlan(NamedTuple):
     and the last stage the destination alone.  ``parents[k - 1]`` has one
     row per stage-``k`` node listing the flat indices of its stage-``k-1``
     neighbours in ascending order, padded with ``len(nodes)`` to the stage's
-    largest in-degree.  ``switches`` holds the flat indices of the switches.
+    largest in-degree.  Parent tables are shared, read-only, between every
+    plan of the topology whose stage has the same table.
     """
 
     nodes: np.ndarray
     node_ids: tuple[int, ...]
     bounds: tuple[int, ...]
     parents: tuple[np.ndarray, ...]
-    switches: np.ndarray
 
 
 def _stage_order(
@@ -146,7 +157,9 @@ def route_plan(topology: Topology, src: int, dst: int) -> RoutePlan:
     Every stage's parent table comes out of one pass over the plan's
     non-source rows: each row keeps the neighbours that lie in its own
     previous stage, compacted to the front in ascending order, and each
-    stage is cut to its widest row.
+    stage is cut to its widest row.  Each stage's table is interned per
+    topology, so the memo grows with the fabric's distinct stage shapes,
+    not with the pairs routed.
 
     Raises ``ValueError`` when the endpoints are disconnected.
     """
@@ -175,14 +188,20 @@ def route_plan(topology: Topology, src: int, dst: int) -> RoutePlan:
             (nodes.size - 1, int(widths.max())), nodes.size, dtype=np.intp
         )
         table[rows, slots] = flat[rows, cols]
+        shared = _per_topology(_TABLE_CACHE, topology)
         for k, width in enumerate(widths.tolist(), start=1):
-            stage = table[bounds[k] - 1 : bounds[k + 1] - 1, :width].copy()
-            stage.setflags(write=False)
-            parents.append(stage)
-    switches = np.flatnonzero(nodes >= topology.num_servers)
-    switches.setflags(write=False)
+            stage = table[bounds[k] - 1 : bounds[k + 1] - 1, :width]
+            key = (stage.shape, stage.tobytes())
+            interned = shared.get(key)
+            if interned is None:
+                interned = shared[key] = stage.copy()
+                interned.setflags(write=False)
+            parents.append(interned)
+    ids = _NODE_IDS.get(topology)
+    if ids is None:
+        ids = _NODE_IDS[topology] = tuple(range(topology.num_nodes))
     plan = RoutePlan(
-        nodes, tuple(nodes.tolist()), bounds, tuple(parents), switches
+        nodes, tuple([ids[i] for i in nodes.tolist()]), bounds, tuple(parents)
     )
     plans[(src, dst)] = plan
     return plan

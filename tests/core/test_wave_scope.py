@@ -98,7 +98,7 @@ def test_wave_ignores_history(seed, monkeypatch):
     wave = map_ids + reduce_ids
     before = all_servers(taa.cluster)
     expected = HitOptimizer(bare, HitConfig(seed=seed)).optimize_initial_wave(wave)
-    with observe(), monkeypatch.context() as patch:
+    with observe(checker=None), monkeypatch.context() as patch:
         forbid_whole_cluster_scans(patch)
         optimizer = HitOptimizer(taa, HitConfig(seed=seed))
         result = optimizer.optimize_initial_wave(wave)
@@ -144,7 +144,7 @@ def test_stable_match_ignores_history(monkeypatch):
     )
     taa.install_all_policies()
     preferences = build_preference_matrix(taa, container_ids=map_ids)
-    with observe(), monkeypatch.context() as patch:
+    with observe(checker=None), monkeypatch.context() as patch:
         forbid_whole_cluster_scans(patch)
         result = stable_match(preferences, taa.cluster)
         assert find_blocking_pairs(result, preferences, taa.cluster) == []

@@ -86,6 +86,26 @@ def test_observe_restores_previous_state():
     assert STATE.enabled is False
 
 
+def test_tracer_only_scope_keeps_the_installed_checker():
+    """A scope that names one slot leaves the other as installed (an
+    environment checker keeps checking under a tracer-only scope), and
+    both slots come back on exit; ``None`` empties a slot."""
+    checker, tracer = InvariantChecker(mode="raise"), Tracer()
+    install(checker=checker)
+    inner = Tracer()
+    with observe(tracer=inner):
+        assert STATE.checker is checker and STATE.tracer is inner
+        with observe(checker=None):
+            assert STATE.checker is None and STATE.tracer is inner
+        assert STATE.checker is checker and STATE.tracer is inner
+    assert STATE.checker is checker and not STATE.tracer.enabled
+    install(tracer=tracer)
+    assert STATE.checker is checker and STATE.tracer is tracer
+    with observe(checker=InvariantChecker(mode="collect"), tracer=None):
+        assert not STATE.tracer.enabled
+    assert STATE.checker is checker and STATE.tracer is tracer
+
+
 def test_observation_does_not_change_results():
     baseline = small_run("hit").summary()
     with observe(checker=InvariantChecker(mode="raise"), tracer=Tracer()):

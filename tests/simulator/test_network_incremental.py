@@ -418,6 +418,70 @@ class TestClosureEarlyExit:
             net.recompute_rates()
         assert_networks_bit_identical(full, inc)
 
+    def stacked_nets(self, threshold: float, extra: int):
+        """One chain plus ``extra`` more flows on its first hop's path, the
+        last of them just added (and not yet recomputed).  Switch ``w1``
+        then carries ``extra + 2`` flows: the stacked ones and flows 0 and
+        1 of the chain."""
+        full, inc = self.chain_nets(threshold)
+        for fid in range(100, 100 + extra):
+            for net in (full, inc):
+                if fid > 100:
+                    net.recompute_rates()
+                net.add_flow(fid, chain_path(0, 0, self.N), 3.0)
+        return full, inc
+
+    def closure_with_walk_reads(self, net, seeds):
+        """``_closure_slots(seeds)`` and how often the walk read the
+        incidence matrix (0 when it decided without walking)."""
+        reads = []
+        real = net._inc
+
+        class Spy:
+            def __getitem__(self, key):
+                reads.append(key)
+                return real[key]
+
+        net._inc = Spy()
+        try:
+            slots = net._closure_slots(seeds)
+        finally:
+            net._inc = real
+        return slots, len(reads)
+
+    def test_seed_resource_over_threshold_skips_the_walk(self):
+        """A seed resource alone carries more than the threshold: the full
+        fill is returned before any walk, and it is the walk's decision."""
+        full, inc = self.stacked_nets(0.4, extra=3)
+        seeds = set(inc._seed_res)
+        limit = 0.4 * len(inc._flows)
+        assert inc._res_nflows[sorted(seeds)].max() == 5 > limit
+        assert walk_rounds(inc, seeds)[0] > limit
+        expected = inc._ordered()[0].copy()
+        slots, reads = self.closure_with_walk_reads(inc, seeds)
+        assert reads == 0
+        assert slots.tobytes() == expected.tobytes()
+        for net in (full, inc):
+            net.recompute_rates()
+        assert_networks_bit_identical(full, inc)
+
+    def test_seed_resource_at_threshold_still_walks(self):
+        """At exactly the threshold the seed's flows do not decide it: the
+        walk runs and passes the threshold one round later."""
+        full, inc = self.stacked_nets(0.5, extra=5)
+        seeds = set(inc._seed_res)
+        limit = 0.5 * len(inc._flows)
+        assert inc._res_nflows[sorted(seeds)].max() == 7 == limit
+        rounds = walk_rounds(inc, seeds)
+        assert rounds[0] == 7 and rounds[1] > limit
+        expected = inc._ordered()[0].copy()
+        slots, reads = self.closure_with_walk_reads(inc, seeds)
+        assert reads == 1
+        assert slots.tobytes() == expected.tobytes()
+        for net in (full, inc):
+            net.recompute_rates()
+        assert_networks_bit_identical(full, inc)
+
     def test_sub_threshold_closure_is_the_component_in_seq_order(self):
         """Below the threshold the walk returns exactly the seeded chain's
         flows, ordered by insertion even when recycled slots scramble the

@@ -1,5 +1,7 @@
 """Routing utilities: stage DAGs, path enumeration and their consistency."""
 
+import gc
+import weakref
 from collections import deque
 
 import numpy as np
@@ -12,6 +14,11 @@ from repro.topology import (
     UNREACHABLE,
     BCubeConfig,
     FatTreeConfig,
+    Link,
+    Server,
+    Switch,
+    Tier,
+    Topology,
     TreeConfig,
     VL2Config,
     bfs_layers,
@@ -27,6 +34,7 @@ from repro.topology import (
     shortest_path_stages,
     single_source_unit_costs,
 )
+from repro.topology import routing
 from repro.topology.routing import _parent_table, _stage_order
 
 
@@ -90,12 +98,59 @@ class TestStageAdjacency:
             assert listed == expected
             # Trimmed to the stage's largest in-degree.
             assert table.shape[1] == max(len(row) for row in expected)
-        assert [ids[i] for i in plan.switches] == [
-            n for n in ids if tree.is_switch(n)
-        ]
 
     def test_cached_identity(self, tree):
         assert route_plan(tree, 0, 15) is route_plan(tree, 0, 15)
+
+    def test_identical_stages_share_one_table(self):
+        """Every pair of a fat-tree: parent tables with the same shape and
+        contents are one read-only array, and a pod-crossing edge-switch
+        pair reuses another pair's tables stage for stage."""
+        ft = build_fattree(k=4)
+        plans = [
+            route_plan(ft, a, b)
+            for a in range(ft.num_nodes)
+            for b in range(ft.num_nodes)
+        ]
+        by_content: dict[tuple, set[int]] = {}
+        for plan in plans:
+            for table in plan.parents:
+                assert not table.flags.writeable
+                key = (table.shape, table.tobytes())
+                by_content.setdefault(key, set()).add(id(table))
+        assert all(len(ids) == 1 for ids in by_content.values())
+        assert len(by_content) < sum(len(p.parents) for p in plans) // 100
+        edges = ft.switches_of_tier(Tier.ACCESS)
+        first = route_plan(ft, edges[0], edges[-1])
+        second = route_plan(ft, edges[1], edges[-2])
+        assert first.node_ids != second.node_ids
+        assert len(first.parents) == len(second.parents) > 0
+        assert all(a is b for a, b in zip(first.parents, second.parents))
+
+    def test_tables_not_shared_across_topologies(self):
+        one, two = build_fattree(k=4), build_fattree(k=4)
+        edges = one.switches_of_tier(Tier.ACCESS)
+        a = route_plan(one, edges[0], edges[-1])
+        b = route_plan(two, edges[0], edges[-1])
+        assert a.node_ids == b.node_ids
+        for x, y in zip(a.parents, b.parents):
+            assert np.array_equal(x, y) and x is not y
+        # The interning memo goes away with its topology.
+        assert one in routing._TABLE_CACHE
+        topology_ref, table_ref = weakref.ref(one), weakref.ref(a.parents[0])
+        del one, a
+        gc.collect()
+        assert topology_ref() is None and table_ref() is None
+
+    def test_node_ids_share_the_topology_ints(self):
+        """Ids above CPython's small-int cache (256) are the same objects
+        in every plan of a topology."""
+        ft = build_fattree(k=12)
+        plans = [route_plan(ft, 300, ft.num_nodes - 1), route_plan(ft, 0, 500)]
+        shared = routing._NODE_IDS[ft]
+        for plan in plans:
+            assert max(plan.node_ids) > 256
+            assert all(n is shared[n] for n in plan.node_ids)
 
     def test_neighbor_table_symmetric(self, tree):
         table = tree.neighbor_table()
@@ -134,9 +189,7 @@ def per_stage_plan(topology, src, dst):
         flat = index[table[nodes[bounds[k] : bounds[k + 1]]]]
         member = (flat >= bounds[k - 1]) & (flat < bounds[k])
         parents.append(_parent_table(flat, member, nodes.size))
-    switches = np.flatnonzero(nodes >= topology.num_servers)
-    switches.setflags(write=False)
-    return nodes, bounds, parents, switches
+    return nodes, bounds, parents
 
 
 @pytest.mark.parametrize("fabric", sorted(FABRICS))
@@ -153,7 +206,7 @@ def test_route_plan_matches_per_stage_builder(fabric):
     pairs |= {(0, 0), (servers[0], servers[-1])}
     for src, dst in sorted(pairs):
         plan = route_plan(topology, src, dst)
-        nodes, bounds, parents, switches = per_stage_plan(topology, src, dst)
+        nodes, bounds, parents = per_stage_plan(topology, src, dst)
         assert np.array_equal(plan.nodes, nodes)
         assert plan.node_ids == tuple(nodes.tolist())
         assert plan.bounds == bounds
@@ -162,10 +215,7 @@ def test_route_plan_matches_per_stage_builder(fabric):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert np.array_equal(got, want)
             assert not got.flags.writeable
-        assert np.array_equal(plan.switches, switches)
-        assert plan.switches.dtype == switches.dtype
         assert not plan.nodes.flags.writeable
-        assert not plan.switches.flags.writeable
 
 
 class TestSingleSourceUnitCosts:
@@ -342,13 +392,59 @@ def dense_unit_costs(topology, source, node_costs):
     return best
 
 
+def assert_narrowest_distance_dtype(dist, num_nodes):
+    """Signed, holds ``2 * num_nodes``, and the next narrower signed dtype
+    would not."""
+    info = np.iinfo(dist.dtype)
+    assert dist.dtype.kind == "i" and info.max >= 2 * num_nodes
+    if info.bits > 8:
+        assert np.iinfo(f"int{info.bits // 2}").max < 2 * num_nodes
+
+
 @pytest.mark.parametrize("name", sorted(GENERATED))
 def test_hop_distances_match_queue_bfs(name):
     topology = GENERATED[name]()
     for source in range(topology.num_nodes):
         dist = topology.hop_distances_from(source)
-        assert dist.dtype == np.int64
+        assert_narrowest_distance_dtype(dist, topology.num_nodes)
         assert np.array_equal(dist, deque_bfs(topology, source)), (name, source)
+
+
+@pytest.mark.parametrize("k", [8, 16])
+def test_bench_fat_tree_distances_are_int16(k):
+    topology = build_fattree(FatTreeConfig(k=k))
+    for source in (0, topology.num_servers - 1, topology.num_nodes - 1):
+        dist = topology.hop_distances_from(source)
+        assert dist.dtype == np.int16
+        assert np.array_equal(dist, deque_bfs(topology, source))
+
+
+def line_topology(num_nodes):
+    """Two servers joined by a chain of ``num_nodes - 2`` switches: the
+    longest shortest path a fabric of that size can have."""
+    switches = range(2, num_nodes)
+    chain = [0, *switches, 1]
+    return Topology(
+        [Server(0, "s0"), Server(1, "s1")],
+        [Switch(w, f"w{w}", Tier.ACCESS, 1.0) for w in switches],
+        [Link(a, b, 1.0) for a, b in zip(chain, chain[1:])],
+    )
+
+
+@pytest.mark.parametrize("num_nodes", [63, 64])
+def test_narrow_distances_hold_the_longest_stage_sums(num_nodes):
+    """At the widest int8 fabric (63 nodes) and the first int16 one, the
+    end-to-end distance sums of ``_stage_order`` do not overflow: every
+    node is its own stage, in chain order."""
+    line = line_topology(num_nodes)
+    dist = line.hop_distances_from(0)
+    assert dist.dtype == (np.int8 if num_nodes == 63 else np.int16)
+    assert int(dist[1]) == num_nodes - 1
+    nodes, bounds = _stage_order(line, 0, 1)
+    assert nodes.tolist() == [0, *range(2, num_nodes), 1]
+    assert bounds == tuple(range(num_nodes + 1))
+    assert line.shortest_path(0, 1) == tuple(nodes.tolist())
+    assert enumerate_paths(line, 0, 1, slack=2) == [tuple(nodes.tolist())]
 
 
 @pytest.mark.parametrize("name", sorted(GENERATED))
