@@ -54,8 +54,7 @@ _PLAN_CACHE: "weakref.WeakKeyDictionary[Topology, dict[tuple[int, int], RoutePla
 _TABLE_CACHE: "weakref.WeakKeyDictionary[Topology, dict[tuple[tuple[int, ...], bytes], np.ndarray]]" = (
     weakref.WeakKeyDictionary()
 )
-#: ``tuple(range(num_nodes))``: the plans' ``node_ids`` reference these ints
-#: instead of each allocating its own for every id above 256.
+#: ``tuple(range(num_nodes))`` of :func:`node_ints`.
 _NODE_IDS: "weakref.WeakKeyDictionary[Topology, tuple[int, ...]]" = (
     weakref.WeakKeyDictionary()
 )
@@ -74,6 +73,7 @@ __all__ = [
     "route_plan",
     "route_plans",
     "plan_endpoints",
+    "node_ints",
     "attach_table",
     "bfs_layers",
     "single_source_unit_costs",
@@ -113,13 +113,16 @@ class RoutePlan(NamedTuple):
     row per stage-``k`` node listing the flat indices of its stage-``k-1``
     neighbours in ascending order, padded with ``len(nodes)`` to the stage's
     largest in-degree.  Parent tables are shared, read-only, between every
-    plan of the topology whose stage has the same table.
+    plan of the topology whose stage has the same table.  ``path`` is the
+    plan's one path as node-id ints when every stage holds one node, else
+    ``None``: a multi-path plan keeps its nodes only as the array the DP
+    gathers through.
     """
 
     nodes: np.ndarray
-    node_ids: tuple[int, ...]
     bounds: tuple[int, ...]
     parents: tuple[np.ndarray, ...]
+    path: tuple[int, ...] | None
 
 
 def _stage_order(
@@ -197,14 +200,23 @@ def route_plan(topology: Topology, src: int, dst: int) -> RoutePlan:
                 interned = shared[key] = stage.copy()
                 interned.setflags(write=False)
             parents.append(interned)
+    path = None
+    if nodes.size == len(bounds) - 1:
+        ids = node_ints(topology)
+        path = tuple([ids[i] for i in nodes.tolist()])
+    plan = RoutePlan(nodes, bounds, tuple(parents), path)
+    plans[(src, dst)] = plan
+    return plan
+
+
+def node_ints(topology: Topology) -> tuple[int, ...]:
+    """``tuple(range(num_nodes))``, one per topology: the paths of plans and
+    routes reference these ints instead of each allocating its own for every
+    id above 256."""
     ids = _NODE_IDS.get(topology)
     if ids is None:
         ids = _NODE_IDS[topology] = tuple(range(topology.num_nodes))
-    plan = RoutePlan(
-        nodes, tuple([ids[i] for i in nodes.tolist()]), bounds, tuple(parents)
-    )
-    plans[(src, dst)] = plan
-    return plan
+    return ids
 
 
 def attach_table(topology: Topology) -> tuple[int, ...]:

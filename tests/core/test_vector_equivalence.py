@@ -435,7 +435,7 @@ def single_path_pairs(topology) -> list[tuple[int, int]]:
             if a == b:
                 continue
             plan = route_plan(topology, *plan_endpoints(topology, a, b))
-            if len(plan.node_ids) == len(plan.bounds) - 1:
+            if plan.path is not None:
                 pairs.append((a, b))
     return pairs
 
