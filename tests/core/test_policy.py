@@ -4,7 +4,14 @@ import pytest
 
 from repro.core import CostModel, NoFeasiblePathError, PolicyController
 from repro.mapreduce import ShuffleFlow
-from repro.topology import TreeConfig, Tier, build_tree, enumerate_paths
+from repro.topology import (
+    Tier,
+    TreeConfig,
+    build_fattree,
+    build_tree,
+    enumerate_paths,
+)
+from repro.topology.routing import node_ints
 
 
 def flow(fid=0, src=100, dst=101, size=1.0, rate=1.0):
@@ -32,6 +39,21 @@ class TestOptimalPath:
         assert path[0] == 0 and path[-1] == 15
         for a, b in zip(path, path[1:]):
             assert tree.has_link(a, b)
+
+    def test_routed_paths_share_the_topology_ints(self):
+        """Between the endpoints, node ids above CPython's small-int cache
+        (256) in a stage-DP route and a single-path route are the
+        topology's shared ints."""
+        ft = build_fattree(k=12)
+        shared = node_ints(ft)
+        controller = PolicyController(ft)
+        servers = ft.server_ids
+        # Across pods (a stage DP), and on one edge switch (a single path).
+        pairs = ((servers[300], servers[-1]), (servers[-2], servers[-1]))
+        for src, dst in pairs:
+            path, _ = controller.optimal_path(src, dst, 0.1)
+            assert min(path[1:-1]) > 256
+            assert all(n is shared[n] for n in path[1:-1])
 
     def test_dp_matches_brute_force(self, controller, tree):
         """The layered DP must equal exhaustive minimisation over all
